@@ -184,6 +184,30 @@ class Hierarchy:
         )
         return lambda column: table[column]
 
+    def level_mapper_array(self, from_level: str, to_level: str):
+        """Vectorized :meth:`map_value` between two levels.
+
+        The generic implementation precomputes a lookup table over the
+        *from_level* domain; uniform hierarchies divide instead.
+        """
+        import numpy as np
+
+        src, dst = self.level(from_level), self.level(to_level)
+        if dst.is_all:
+            return lambda column: np.full(len(column), ALL_VALUE,
+                                          dtype=np.int64)
+        if src.depth == dst.depth:
+            return lambda column: column
+        table = np.fromiter(
+            (
+                self.map_value(value, from_level, to_level)
+                for value in range(src.cardinality)
+            ),
+            dtype=np.int64,
+            count=src.cardinality,
+        )
+        return lambda column: table[column]
+
     @property
     def supports_ranges(self) -> bool:
         """Whether range annotations are meaningful on this attribute."""
@@ -309,6 +333,18 @@ class UniformHierarchy(Hierarchy):
         # NumPy's // floors like Python's, so negative coordinates (not
         # that records carry any) would bucket identically.
         return lambda column: column // unit
+
+    def level_mapper_array(self, from_level: str, to_level: str):
+        src, dst = self.level(from_level), self.level(to_level)
+        if dst.is_all or src.depth == dst.depth:
+            return super().level_mapper_array(from_level, to_level)
+        if src.depth > dst.depth:
+            raise DomainError(
+                f"cannot map {self.name}.{from_level} down to finer "
+                f"level {to_level}"
+            )
+        ratio = dst.unit // src.unit
+        return lambda column: column // ratio
 
     def convert_range(
         self, low: int, high: int, from_level: str, to_level: str

@@ -11,9 +11,10 @@ the price of fewer blocks (less parallelism) -- the trade-off the
 optimizer resolves.
 
 The scheme produces, per record, the set of block keys the record must be
-shipped to (:meth:`BlockScheme.make_mapper`) and, per block, the
-ownership predicate that filters duplicate results in the reducers
-(:meth:`BlockScheme.make_result_filter`).
+shipped to (:meth:`BlockScheme.make_mapper`) and, per measure, the
+locator that finds each result row's home block
+(:meth:`BlockScheme.make_home_locator`), so a reduce task keeps exactly
+the rows its blocks own.
 """
 
 from __future__ import annotations
@@ -350,51 +351,83 @@ class BlockScheme:
             index = index * extent + coordinate
         return index
 
-    # -- block -> ownership filter ------------------------------------------------------
+    # -- region -> home block ------------------------------------------------------------
 
-    def make_result_filter(self, granularity: Granularity):
-        """Build ``block_key -> predicate(coords)`` for one measure.
+    def make_home_locator(self, granularity: Granularity):
+        """Build ``(owned block keys, region coords) -> owner positions``.
 
-        A reducer may compute a measure row from fringe data that another
-        block owns; the predicate keeps exactly the rows whose region (at
-        the measure's *granularity*) maps into the block's owned
-        coordinate range on every annotated axis.  Non-annotated axes
-        need no check: all of a block's records share those coordinates.
+        A reduce task evaluates records copied in for its blocks'
+        extended ranges, so it also computes rows that another block
+        owns.  The locator maps each row's region (at the measure's
+        *granularity*, one row of the ``coords`` matrix per region) to
+        its *home* block -- the block owning that region's coordinate
+        on every non-``ALL`` key axis, annotated or not -- and returns,
+        per row, the position of that block among the *owned* key rows,
+        or ``-1`` when the task does not hold it.  Both matrices are
+        indexed by attribute; ``ALL`` key axes are ignored.
         """
-        checks = []
+        axes = []
         for index, (attr, component) in enumerate(
             zip(self.schema.attributes, self.key.components)
         ):
-            if not component.annotated:
+            if component.level == ALL:
                 continue
-            hierarchy = attr.hierarchy
             measure_level = granularity.levels[index]
             if measure_level == ALL:
                 raise DistributionError(
                     f"measure granularity {granularity} is coarser than the "
-                    f"key level on annotated attribute {attr.name!r}; the "
-                    "key cannot be feasible"
+                    f"key level on attribute {attr.name!r}; the key cannot "
+                    "be feasible"
                 )
-            checks.append(
-                (index, attr.name, hierarchy, measure_level, component.level)
+            axes.append(
+                (
+                    index,
+                    attr.hierarchy.level_mapper_array(
+                        measure_level, component.level
+                    ),
+                    self.factor(attr.name),
+                )
             )
+        columns = [index for index, _to_key, _cf in axes]
 
-        def filter_for(block_key: tuple[int, ...]):
-            bounds = []
-            for index, attr_name, hierarchy, measure_level, key_level in checks:
-                low, high = self.owned_range(attr_name, block_key[index])
-                bounds.append((index, hierarchy, measure_level, key_level,
-                               low, high))
+        def locate(owned, coords):
+            import numpy as np
 
-            def keep(coords: tuple[int, ...]) -> bool:
-                for index, hierarchy, measure_level, key_level, low, high in bounds:
-                    mapped = hierarchy.map_value(
-                        coords[index], measure_level, key_level
-                    )
-                    if not low <= mapped <= high:
-                        return False
-                return True
+            home = np.empty((len(coords), len(axes)), dtype=np.int64)
+            for position, (index, to_key, cf) in enumerate(axes):
+                mapped = to_key(coords[:, index])
+                home[:, position] = mapped // cf if cf > 1 else mapped
+            return match_rows(owned[:, columns], home)
 
-            return keep
+        return locate
 
-        return filter_for
+
+def match_rows(table, rows):
+    """Position of each row of *rows* in the distinct rows of *table*.
+
+    Both are 2-D int64 matrices with the same columns, *table* not
+    empty; rows absent from *table* get ``-1``.  The two are bit-packed jointly into one int64
+    per row when the value ranges fit, else numbered by a row-wise
+    ``np.unique``; either way the lookup is one ``searchsorted``.
+    """
+    import numpy as np
+
+    from repro import kernels
+
+    if not table.shape[1]:
+        # No key axis at all: one block, which the task holds.
+        return np.zeros(len(rows), dtype=np.int64)
+    stacked = np.concatenate([table, rows])
+    packed = kernels.pack_rows(stacked)
+    if packed is not None:
+        codes = packed[0]
+    else:
+        codes = np.unique(stacked, axis=0, return_inverse=True)[1]
+        codes = codes.reshape(-1)
+    table_codes, row_codes = codes[: len(table)], codes[len(table):]
+    order = np.argsort(table_codes, kind="stable")
+    sorted_codes = table_codes[order]
+    slots = np.minimum(
+        np.searchsorted(sorted_codes, row_codes), len(table) - 1
+    )
+    return np.where(sorted_codes[slots] == row_codes, order[slots], -1)

@@ -3,7 +3,7 @@
 These implement the value flow along workflow edges: roll-up of child
 regions, alignment to a parent region, and sibling sliding windows.  They
 are pure functions from measure tables to measure tables, shared by the
-centralized evaluator and the per-block reducers.
+centralized evaluator and the parallel reduce tasks.
 """
 
 from __future__ import annotations

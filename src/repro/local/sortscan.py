@@ -11,8 +11,9 @@ contiguous in the sorted stream and can be aggregated with O(1) state
 tables in the same scan, so the pass count never grows.
 
 This evaluator doubles as the paper's centralized baseline
-(:func:`evaluate_centralized`) and as the per-block subroutine run by
-every reducer of the parallel algorithm.
+(:func:`evaluate_centralized`) and as the local subroutine every reduce
+task of the parallel algorithm runs (through the vectorized evaluator,
+which falls back to it).
 """
 
 from __future__ import annotations

@@ -145,9 +145,9 @@ class VectorizedBlockEvaluator:
     either way.
     """
 
-    def __init__(self, workflow: Workflow):
+    def __init__(self, workflow: Workflow, tracer=None):
         self.workflow = workflow
-        self._scalar = BlockEvaluator(workflow)
+        self._scalar = BlockEvaluator(workflow, tracer=tracer)
         self.accelerated = vectorized_supports(workflow)
         # Pure-ALIGN composites anchor their regions on the raw records;
         # only then does the composite phase need the scalar tuples back.
@@ -162,10 +162,19 @@ class VectorizedBlockEvaluator:
 
     def evaluate(
         self,
-        records,
+        records=None,
         stats: LocalStats | None = None,
+        basic_tables=None,
     ) -> ResultSet:
-        """Evaluate one block given records or a :class:`RecordBatch`."""
+        """Evaluate one block given records or a :class:`RecordBatch`.
+
+        Precomputed *basic_tables* (early aggregation's merged partial
+        states) skip the basic phase and go straight to the composites.
+        """
+        if basic_tables is not None:
+            return self._scalar.evaluate(
+                basic_tables=basic_tables, stats=stats
+            )
         if isinstance(records, RecordBatch):
             return self._evaluate_batch(records, stats)
         if not self.accelerated:
@@ -216,10 +225,7 @@ class VectorizedBlockEvaluator:
             )
             tables[measure.name] = MeasureTable(
                 measure.granularity,
-                {
-                    tuple(int(c) for c in row): value.item()
-                    for row, value in zip(unique, aggregated)
-                },
+                dict(zip(row_tuples(unique), aggregated.tolist())),
             )
         # Composite phase: identical code path to the scalar evaluator;
         # records ride along so pure-ALIGN measures can anchor regions.

@@ -626,6 +626,26 @@ class TelemetryRegistry:
         self._notify()
         return True
 
+    def settle_worker_counters(
+        self, totals: Mapping[str, Mapping[str, float]]
+    ) -> None:
+        """Overwrite worker counters with the driver's accepted totals.
+
+        A worker's flushes count every attempt it finished, but the
+        driver may reject some of them: a speculative loser, or a
+        finished attempt whose result was lost when the pool broke and
+        whose task then ran again.  Once a run is over, the driver
+        knows which attempt it accepted per task and passes, per
+        worker of that run, the counters of its accepted attempts;
+        they replace the flushed values, so summed totals count each
+        task once.
+        """
+        for worker, counters in totals.items():
+            delta = self.workers.get(worker)
+            if delta is not None:
+                delta.counters.update(counters)
+        self._notify()
+
     def worker_totals(self) -> dict[str, dict]:
         """Per-worker sections: resources + cumulative counters."""
         return {
@@ -733,6 +753,9 @@ class NullTelemetry:
 
     def merge_worker(self, delta) -> bool:
         return False
+
+    def settle_worker_counters(self, totals) -> None:
+        return None
 
     def worker_totals(self) -> dict:
         return {}

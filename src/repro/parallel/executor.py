@@ -7,8 +7,10 @@ One MapReduce job evaluates the whole composite query:
    feasible distribution key and clustering factor per component;
 2. mappers replicate each record into every block whose extended range
    needs it, once per component (overlapping redistribution);
-3. each reducer runs the local sort/scan algorithm per block and filters
-   its outputs to the block's owned region range, so
+3. each reduce task runs the local sort/scan algorithm once per
+   component over its blocks' records, each record once however many of
+   the task's blocks it was copied into, and keeps the rows whose home
+   block the task holds (see :mod:`repro.parallel.reduce`), so
 4. the final answer is the plain union of local results -- no combination
    step, and any duplicate is a hard error.
 
@@ -25,6 +27,7 @@ bit-identical.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
@@ -35,7 +38,7 @@ from repro import kernels
 from repro.cube.batches import RecordBatch
 from repro.cube.records import Record, estimated_record_bytes
 from repro.local.measure_table import MeasureTable, ResultSet
-from repro.local.sortscan import BlockEvaluator, LocalStats
+from repro.local.sortscan import LocalStats
 from repro.local.vectorized import (
     batched_partial_states,
     vectorized_supports,
@@ -55,6 +58,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.skew import KeyCache
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
+from repro.parallel.reduce import TaskReducer
 from repro.parallel.report import ColumnarStats, ParallelResult
 
 #: Tag marking early-aggregation partial states in the value stream.
@@ -402,60 +406,68 @@ class ParallelEvaluator:
 
         return partitioner
 
-    def _make_reducer(
+    def _make_reduce_task(
         self,
         plan: QueryPlan,
         record_bytes: int,
         local_stats: LocalStats,
         served_blocks: set,
     ):
-        evaluators = []
-        filters = []
-        basics_by_component = []
-        for component, subplan in plan.subplans:
-            evaluators.append(BlockEvaluator(component, tracer=self.tracer))
-            filters.append(
-                {
-                    measure.name: subplan.scheme.make_result_filter(
-                        measure.granularity
-                    )
-                    for measure in component.measures
-                }
-            )
-            basics_by_component.append(list(component.basic_measures()))
+        """The engine's ``reduce_task`` hook: one evaluation per
+        component per reduce task (see :mod:`repro.parallel.reduce`).
+
+        The simulated clock is still charged per block: the group sort
+        on the block's values, evaluation on its values plus the rows
+        it owns.
+        """
+        reducer = TaskReducer(
+            [
+                (component, subplan.scheme)
+                for component, subplan in plan.subplans
+            ],
+            tracer=self.tracer,
+        )
+        basics_by_component = [
+            list(component.basic_measures())
+            for component, _plan in plan.subplans
+        ]
         early = self.config.early_aggregation
+        value_bytes = _PARTIAL_STATE_BYTES if early else record_bytes
 
-        def reducer(block_key, values, ctx):
-            # A set, not a counter: fault-tolerant retries may re-run a
-            # block, but it still counts once toward calibration.
-            served_blocks.add(block_key)
-            component_index = block_key[0]
-            component_block = block_key[1:]
-            evaluator = evaluators[component_index]
-            stats = LocalStats()
-            if early:
-                tables = _merge_partials(
-                    basics_by_component[component_index], values
+        def reduce_task(groups, ctx):
+            by_component: dict[int, list] = defaultdict(list)
+            for block_key, values in groups:
+                served_blocks.add(block_key)
+                by_component[block_key[0]].append((block_key, values))
+            outputs: list = []
+            for index, blocks in by_component.items():
+                owned = np.array(
+                    [block_key[1:] for block_key, _values in blocks],
+                    dtype=np.int64,
                 )
-                ctx.charge_sort(
-                    len(values), len(values) * _PARTIAL_STATE_BYTES
-                )
-                result = evaluator.evaluate(basic_tables=tables, stats=stats)
-                ctx.charge_eval(len(values))
-            else:
-                ctx.charge_sort(len(values), len(values) * record_bytes)
-                result = evaluator.evaluate(values, stats=stats)
-                ctx.charge_eval(stats.records + stats.output_rows)
-            local_stats.merge(stats)
+                if early:
+                    # Every block holding a region receives all of its
+                    # partial states, so one block's copies suffice.
+                    tables = _merge_partials(
+                        basics_by_component[index],
+                        _first_copies(blocks, _state_slot),
+                    )
+                    rows, owned_rows = reducer.reduce(
+                        index, owned, basic_tables=tables, stats=local_stats
+                    )
+                else:
+                    # A record copied into several blocks is one object.
+                    rows, owned_rows = reducer.reduce(
+                        index, owned, records=_first_copies(blocks, id),
+                        stats=local_stats,
+                    )
+                for (_key, values), owns in zip(blocks, owned_rows.tolist()):
+                    ctx.charge_sort(len(values), len(values) * value_bytes)
+                    ctx.charge_eval(len(values) + owns)
+                outputs.extend(rows)
+            return outputs
 
-            component_filters = filters[component_index]
-            for name, table in result.items():
-                keep = component_filters[name](component_block)
-                for coords, value in table.items():
-                    if keep(coords):
-                        yield (name, coords, value)
-
-        return reducer
+        return reduce_task
 
     # -- whole query ----------------------------------------------------------------------
 
@@ -475,7 +487,7 @@ class ParallelEvaluator:
 
         *cancel* (a :class:`repro.parallel.cancel.CancellationToken`)
         makes the evaluation cooperative: the token is checked before
-        planning, per map task, and per reduced block, and a tripped
+        planning, per map task, and per reduce task, and a tripped
         token unwinds the run with
         :class:`~repro.parallel.cancel.DeadlineExceededError`.
         """
@@ -538,7 +550,7 @@ class ParallelEvaluator:
                 else None
             )
             mapper = self._make_mapper(query_plan)
-            reducer = self._make_reducer(
+            reduce_task = self._make_reduce_task(
                 query_plan, record_bytes, local_stats, served_blocks
             )
             map_batch = (
@@ -551,12 +563,13 @@ class ParallelEvaluator:
             if cancel is not None:
                 cancel.check()
                 mapper = _cancellable(mapper, cancel)
-                reducer = _cancellable(reducer, cancel)
+                reduce_task = _cancellable(reduce_task, cancel)
                 if map_batch is not None:
                     map_batch = _cancellable(map_batch, cancel)
             job = MapReduceJob(
                 mapper=mapper,
-                reducer=reducer,
+                reducer=None,
+                reduce_task=reduce_task,
                 num_reducers=query_plan.num_reducers,
                 combiner=(
                     self._make_combiner(query_plan)
@@ -660,13 +673,34 @@ class ParallelEvaluator:
 
 
 def _cancellable(fn, cancel: CancellationToken):
-    """Check *cancel* before every call into *fn* (map task, block)."""
+    """Check *cancel* before every call into *fn* (map or reduce task)."""
 
     def guarded(*args, **kwargs):
         cancel.check()
         return fn(*args, **kwargs)
 
     return guarded
+
+
+def _first_copies(blocks, identity) -> list:
+    """One reduce task's values with cross-block copies dropped.
+
+    A value whose *identity* already appeared in an earlier block of
+    *blocks* (``(block key, values)`` groups) is a copy of it; repeats
+    within one block are distinct inputs and all stay.
+    """
+    seen: set = set()
+    kept: list = []
+    for _key, values in blocks:
+        fresh = [value for value in values if identity(value) not in seen]
+        seen.update(map(identity, fresh))
+        kept.extend(fresh)
+    return kept
+
+
+def _state_slot(value) -> tuple:
+    """A partial state's (basic measure, region) slot."""
+    return value[1], value[2]
 
 
 def _merge_partials(basics, values) -> dict[str, MeasureTable]:
@@ -716,11 +750,11 @@ def _value_bytes(record_bytes: int):
 
 
 def union_outputs(workflow: Workflow, outputs) -> ResultSet:
-    """Union per-block ``(measure, coords, value)`` rows.
+    """Union per-task ``(measure, coords, value)`` rows.
 
     Fails loudly on any duplicated region -- the invariant a feasible
     distribution scheme guarantees.  Shared by every backend that
-    gathers per-block results.
+    gathers reduce-task results.
     """
     tables = {
         measure.name: MeasureTable(measure.granularity)

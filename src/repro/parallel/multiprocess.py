@@ -3,9 +3,10 @@
 The simulated cluster measures *what the paper measured*; this backend
 demonstrates the paper's closing remark that the algorithm "can be
 implemented in any OLAP system which supports scatter-and-gather": the
-same plan -- feasible key, clustering factor, per-block local sort/scan,
-owned-region filtering -- executed across real OS processes with
-:mod:`concurrent.futures`.
+same plan -- feasible key, clustering factor, overlapping
+redistribution, one local sort/scan per reduce task keeping the rows its
+blocks own (:mod:`repro.parallel.reduce`) -- executed across real OS
+processes with :mod:`concurrent.futures`.
 
 Unlike a plain ``pool.map``, the gather side survives real failures the
 way a MapReduce master does:
@@ -15,12 +16,12 @@ way a MapReduce master does:
   max_attempts`;
 * an attempt that outlives ``straggler_timeout`` earns a speculative
   duplicate; the first result wins and the loser is ignored, so the
-  final union stays duplicate-free (owned-region filtering already
-  guarantees block-disjoint outputs);
+  final union stays duplicate-free (home-block filtering already
+  guarantees task-disjoint outputs);
 * a worker process dying (``BrokenProcessPool``) rebuilds the pool and
-  re-runs only the unfinished blocks;
+  re-runs only the unfinished tasks;
 * an attempt exceeding ``task_timeout`` is abandoned and re-dispatched;
-* when a block exhausts its budget the evaluator degrades gracefully:
+* when a task exhausts its budget the evaluator degrades gracefully:
   it falls back to :func:`repro.local.evaluate_centralized`, so the
   answer never changes -- only the speedup is lost.
 
@@ -74,11 +75,8 @@ from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
 from repro.local.measure_table import ResultSet
-from repro.local.sortscan import BlockEvaluator, evaluate_centralized
-from repro.local.vectorized import (
-    VectorizedBlockEvaluator,
-    vectorized_supports,
-)
+from repro.local.sortscan import evaluate_centralized
+from repro.local.vectorized import vectorized_supports
 from repro.mapreduce.engine import stable_hash
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
 from repro.obs.tracectx import (
@@ -93,6 +91,7 @@ from repro.query.functions import Expression
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
 from repro.parallel.executor import union_outputs
+from repro.parallel.reduce import TaskReducer
 from repro.parallel.shm import (
     SegmentRegistry,
     ShmBucket,
@@ -110,81 +109,84 @@ _POLL_SECONDS = 0.02
 # Worker-process state, set up once per pool by _init_worker.
 _WORKER: dict = {}
 
+#: Counters each worker flushes per finished task attempt; the driver
+#: settles them to the attempts it accepted once a run is over.
+_TASK_COUNTERS = ("tasks", "rows", "blocks")
+
 
 #: Codec applied to every columnar wire buffer shipped to workers.
 #: Block keys and sorted row indices are highly repetitive, so deflate
 #: roughly halves the shipped bytes on top of dtype compaction.
 _WIRE_CODEC = "zlib"
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class _ColumnarBucket:
-    """One reducer's blocks in compact columnar wire form.
+    """One reduce task's input in compact columnar wire form.
 
-    The payload holds each record the bucket needs exactly once (blocks
-    within a bucket overlap heavily under annotated keys).  The block
-    structure itself is columnar too -- the block-key matrix travels as
-    a :class:`ColumnPayload` (each key column in its smallest covering
-    dtype), next to one per-block count array and one concatenated
-    row-index buffer -- so a bucket of thousands of small blocks
-    pickles as a handful of byte buffers instead of thousands of
-    per-block tuples and lists.
+    The payload holds each record the task needs exactly once (its
+    blocks overlap heavily under annotated keys).  Next to it travel
+    the block keys the task owns -- a :class:`ColumnPayload`, each key
+    column in its smallest covering dtype -- and, per plan component,
+    the payload rows that component evaluates: one concatenated index
+    buffer plus one count per component.
     """
 
     payload: ColumnPayload
     keys: ColumnPayload
-    counts_dtype: str
-    counts: bytes
-    index_dtype: str
-    indices: bytes
+    row_counts: tuple
+    rows_dtype: str
+    rows: bytes
     codec: str = "raw"
 
     @staticmethod
     def build(
         payload: ColumnPayload,
-        bucket_blocks: list,
-        row_maps: np.ndarray,
+        keys: np.ndarray,
+        component_rows: list,
         codec: str = "raw",
     ) -> "_ColumnarBucket":
-        """Pack ``(block_key, payload row indices)`` entries for the wire."""
-        keys_matrix = np.asarray(
-            [key for key, _rows in bucket_blocks], dtype=np.int64
-        )
-        counts = np.asarray(
-            [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
-        )
-        counts_dtype, counts_bytes = compact_array(counts)
-        index_dtype, indices = compact_array(row_maps)
+        """Pack owned block keys and per-component payload rows."""
+        rows_dtype, rows = compact_array(np.concatenate(component_rows))
         return _ColumnarBucket(
             payload=payload,
-            keys=ColumnPayload.from_matrix(keys_matrix, codec=codec),
-            counts_dtype=counts_dtype,
-            counts=encode_buffer(counts_bytes, codec),
-            index_dtype=index_dtype,
-            indices=encode_buffer(indices, codec),
+            keys=ColumnPayload.from_matrix(keys, codec=codec),
+            row_counts=tuple(len(rows) for rows in component_rows),
+            rows_dtype=rows_dtype,
+            rows=encode_buffer(rows, codec),
             codec=codec,
         )
 
-    def unpack(self) -> list:
-        """Rebuild the ``(block_key, row index array)`` entries."""
-        keys = self.keys.to_matrix()
-        counts = np.frombuffer(
-            decode_buffer(self.counts, self.codec),
-            dtype=np.dtype(self.counts_dtype),
+    @property
+    def num_blocks(self) -> int:
+        return self.keys.length
+
+    def component_rows(self) -> list:
+        """Each component's payload row indices."""
+        rows = np.frombuffer(
+            decode_buffer(self.rows, self.codec),
+            dtype=np.dtype(self.rows_dtype),
         )
-        indices = np.frombuffer(
-            decode_buffer(self.indices, self.codec),
-            dtype=np.dtype(self.index_dtype),
-        )
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return [
-            (
-                tuple(int(value) for value in keys[i]),
-                indices[offsets[i]:offsets[i + 1]],
-            )
-            for i in range(self.keys.length)
-        ]
+        return np.split(rows, np.cumsum(self.row_counts)[:-1])
+
+
+@dataclass(frozen=True)
+class _RecordBucket:
+    """One reduce task's input as record lists (the typed fallback).
+
+    ``keys`` are the block keys the task owns; ``records`` holds, per
+    plan component, the records its blocks need -- each once, in input
+    order.
+    """
+
+    keys: tuple
+    records: tuple
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.keys)
 
 
 def _init_worker(
@@ -197,7 +199,7 @@ def _init_worker(
     kernels_mode: str = "auto",
     trace_ctx: Optional[dict] = None,
 ) -> None:
-    """Rebuild the workflow, evaluators and filters inside a worker."""
+    """Rebuild the workflow and its task reducer inside a worker."""
     # The driver's kernels knob must cross the process boundary: a
     # forced mode ("on"/"off") applies to worker evaluation too.
     kernels.set_kernels_mode(kernels_mode)
@@ -218,32 +220,21 @@ def _init_worker(
         frozenset(component.names): component
         for component in connected_components(workflow)
     }
-    evaluators = []
-    vector_evaluators = []
-    filters = []
+    components = []
     for names, key_spec, factors in scheme_specs:
-        component = by_names[frozenset(names)]
         key = DistributionKey(
             schema, tuple(KeyComponent(*spec) for spec in key_spec)
         )
-        scheme = BlockScheme(key, dict(factors))
-        evaluators.append(BlockEvaluator(component))
-        vector_evaluators.append(VectorizedBlockEvaluator(component))
-        filters.append(
-            {
-                measure.name: scheme.make_result_filter(measure.granularity)
-                for measure in component.measures
-            }
+        components.append(
+            (by_names[frozenset(names)], BlockScheme(key, dict(factors)))
         )
     _WORKER["schema"] = schema
-    _WORKER["evaluators"] = evaluators
-    _WORKER["vector_evaluators"] = vector_evaluators
-    _WORKER["filters"] = filters
+    _WORKER["reducer"] = TaskReducer(components)
     # Telemetry channel: cumulative totals since worker start, flushed
     # with a monotone sequence number after every finished task.
     _WORKER["telemetry_queue"] = telemetry_queue
     _WORKER["telemetry_seq"] = 0
-    _WORKER["telemetry_counters"] = {"tasks": 0, "rows": 0, "blocks": 0}
+    _WORKER["telemetry_counters"] = dict.fromkeys(_TASK_COUNTERS, 0)
     # Trace propagation: the driver's execution-span context, received
     # on the wire.  Task-attempt spans parent under it and ride the
     # telemetry channel inside a bounded ring (the worker-side flight
@@ -251,6 +242,11 @@ def _init_worker(
     _WORKER["trace_ctx"] = trace_ctx
     _WORKER["trace_spans"] = deque(maxlen=128)
     _WORKER["trace_seq"] = 0
+
+
+def _worker_name() -> str:
+    """This worker's name on the telemetry channel."""
+    return f"w{os.getpid()}"
 
 
 def _flush_worker_telemetry() -> None:
@@ -268,7 +264,7 @@ def _flush_worker_telemetry() -> None:
         return
     _WORKER["telemetry_seq"] += 1
     delta = {
-        "worker": f"w{os.getpid()}",
+        "worker": _worker_name(),
         "seq": _WORKER["telemetry_seq"],
         "counters": dict(_WORKER["telemetry_counters"]),
         "resources": sample_resources().to_dict(),
@@ -297,7 +293,7 @@ def _record_task_span(task: int, attempt: int, started: float,
         "mp-task",
         started,
         time.time(),
-        process=f"w{os.getpid()}",
+        process=_worker_name(),
         task=task,
         attempt=attempt,
         **attributes,
@@ -306,98 +302,52 @@ def _record_task_span(task: int, attempt: int, started: float,
 
 
 def _reduce_bucket(bucket) -> list:
-    """Evaluate one reducer's blocks; runs inside a worker process."""
+    """Evaluate one reduce task; runs inside a worker process."""
     if isinstance(bucket, ShmBucket):
-        return _reduce_shm_bucket(bucket)
+        view = bucket.attach()
+        try:
+            return _reduce_shm_view(view)
+        finally:
+            view.close()
     if isinstance(bucket, _ColumnarBucket):
-        return _reduce_columnar_bucket(bucket)
-    rows = []
-    for block_key, records in bucket:
-        component_index = block_key[0]
-        evaluator = _WORKER["evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(records)
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
-            rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
-            )
-    return rows
+        batch = bucket.payload.to_batch(_WORKER["schema"])
+        return _reduce_task(
+            bucket.keys.to_matrix(),
+            [batch.take(rows) for rows in bucket.component_rows()],
+        )
+    return _reduce_task(
+        np.array(bucket.keys, dtype=np.int64), bucket.records
+    )
 
 
-def _reduce_columnar_bucket(bucket: _ColumnarBucket) -> list:
-    """Evaluate one columnar bucket: rebuild columns, slice per block.
+def _reduce_shm_view(view) -> list:
+    """Evaluate an attached shm bucket.
 
-    The batch deserializes with one ``frombuffer`` per column; each
-    block is a fancy-indexed slice handed to the vectorized evaluator,
-    which falls back to the scalar path internally whenever it cannot
-    produce bit-identical results.
-    """
-    batch = bucket.payload.to_batch(_WORKER["schema"])
-    rows = []
-    for block_key, block_rows in bucket.unpack():
-        component_index = block_key[0]
-        evaluator = _WORKER["vector_evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(batch.take(block_rows))
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
-            rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
-            )
-    return rows
-
-
-def _evaluate_shm_view(view) -> list:
-    """Evaluate every block of an attached shm bucket.
-
-    Separated from :func:`_reduce_shm_bucket` so that when this frame
+    Separated from :func:`_reduce_bucket` so that when this frame
     returns, every array view into the shared mapping is dead and the
     caller's ``close()`` can actually unmap the segment.
     """
     batch = view.batch(_WORKER["schema"])
-    rows = []
-    for block_key, block_rows in view.blocks():
-        component_index = block_key[0]
-        evaluator = _WORKER["vector_evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(batch.take(block_rows))
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
+    return _reduce_task(
+        view.keys(), [batch.take(rows) for rows in view.component_rows()]
+    )
+
+
+def _reduce_task(keys: np.ndarray, inputs) -> list:
+    """One evaluation per component over the task's deduplicated input.
+
+    *keys* holds the owned block keys (component index first), and
+    *inputs* each component's records or batch.
+    """
+    reducer = _WORKER["reducer"]
+    rows: list = []
+    for index, component_input in enumerate(inputs):
+        owned = keys[keys[:, 0] == index, 1:]
+        if len(owned):
             rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
+                reducer.reduce(index, owned, records=component_input)[0]
             )
     return rows
-
-
-def _reduce_shm_bucket(bucket: ShmBucket) -> list:
-    """Evaluate one shm bucket: attach, view, evaluate, unmap.
-
-    The segment is driver-owned; this side only maps it.  Per-block
-    evaluation is byte-for-byte the columnar-pickle path -- the batch
-    merely arrives as views over the shared mapping instead of arrays
-    inflated from pickled buffers.
-    """
-    view = bucket.attach()
-    try:
-        return _evaluate_shm_view(view)
-    finally:
-        view.close()
-
-
-def _bucket_block_count(bucket) -> int:
-    """How many blocks one gather bucket carries (any transport)."""
-    if isinstance(bucket, ShmBucket):
-        return bucket.counts[1]
-    if isinstance(bucket, _ColumnarBucket):
-        return bucket.keys.length
-    return len(bucket)
 
 
 def _run_task(
@@ -405,8 +355,11 @@ def _run_task(
     attempt: int,
     bucket: list,
     plan: Optional[FaultPlan],
-) -> tuple[int, list]:
-    """One task attempt inside a worker: inject chaos, then evaluate."""
+) -> tuple[int, list, str]:
+    """One task attempt inside a worker: inject chaos, then evaluate.
+
+    Returns the task, its rows, and the worker that produced them.
+    """
     tracing = _WORKER.get("trace_ctx") is not None
     started = time.time() if tracing else 0.0
     try:
@@ -428,9 +381,9 @@ def _run_task(
         if counters is not None:
             counters["tasks"] += 1
             counters["rows"] += len(rows)
-            counters["blocks"] += _bucket_block_count(bucket)
+            counters["blocks"] += bucket.num_blocks
         _flush_worker_telemetry()
-    return task, rows
+    return task, rows, _worker_name()
 
 
 @dataclass
@@ -697,20 +650,9 @@ class MultiprocessEvaluator:
             )
             transport = "shm" if registry is not None else "columnar"
         else:
-            blocks: dict[tuple, list] = defaultdict(list)
-            for index, (_component, subplan) in enumerate(plan.subplans):
-                mapper = subplan.scheme.make_mapper()
-                for record in records:
-                    for block_key in mapper(record):
-                        blocks[(index,) + block_key].append(record)
-            buckets = [[] for _ in range(partitions)]
-            replicated = 0
-            for block_key, block_records in blocks.items():
-                replicated += len(block_records)
-                buckets[stable_hash(block_key) % partitions].append(
-                    (block_key, block_records)
-                )
-            num_blocks = len(blocks)
+            buckets, num_blocks, replicated = self._scatter_records(
+                records, plan, partitions
+            )
             transport = "records"
             transport_seconds = None
 
@@ -794,14 +736,26 @@ class MultiprocessEvaluator:
             with self.tracer.span(
                 "mp-evaluate", tasks=len(work), processes=self.processes
             ):
+                accepted: dict = {}
+                seen_workers: set = set()
                 row_lists = self._gather_resilient(
                     work, init_args, report,
                     telemetry_queue=telemetry_queue,
                     cancel=cancel,
                     release=release_bucket,
                     trace_ctx=exec_ctx,
+                    accepted=accepted,
+                    seen_workers=seen_workers,
                 )
-                self._drain_telemetry(telemetry_queue)
+                self._drain_telemetry(telemetry_queue, seen_workers)
+                # Count each task once: only the attempt whose result
+                # was taken, not a lost or losing duplicate.
+                self.telemetry.settle_worker_counters({
+                    worker: accepted.get(
+                        worker, dict.fromkeys(_TASK_COUNTERS, 0)
+                    )
+                    for worker in seen_workers
+                })
                 report.workers = self.telemetry.worker_totals()
                 if row_lists is None:
                     # Graceful degradation: some block exhausted its
@@ -855,6 +809,47 @@ class MultiprocessEvaluator:
     # -- columnar scatter ----------------------------------------------------------
 
     @staticmethod
+    def _scatter_records(
+        records: list, plan, partitions: int
+    ) -> tuple[list, int, int]:
+        """Route records into per-partition :class:`_RecordBucket` s.
+
+        Returns ``(buckets, num_blocks, replicated_records)``; empty
+        partitions are ``[]``.  Each bucket ships, per component, the
+        records its blocks need once each, in input order.
+        """
+        keys: list[list] = [[] for _ in range(partitions)]
+        members = [
+            [set() for _ in plan.subplans] for _ in range(partitions)
+        ]
+        num_blocks = replicated = 0
+        for index, (_component, subplan) in enumerate(plan.subplans):
+            mapper = subplan.scheme.make_mapper()
+            blocks: dict[tuple, list] = defaultdict(list)
+            for position, record in enumerate(records):
+                for block_key in mapper(record):
+                    blocks[(index,) + block_key].append(position)
+            for block_key, positions in blocks.items():
+                part = stable_hash(block_key) % partitions
+                keys[part].append(block_key)
+                members[part][index].update(positions)
+                replicated += len(positions)
+            num_blocks += len(blocks)
+        buckets = [
+            _RecordBucket(
+                tuple(part_keys),
+                tuple(
+                    [records[i] for i in sorted(positions)]
+                    for positions in part_members
+                ),
+            )
+            if part_keys
+            else []
+            for part_keys, part_members in zip(keys, members)
+        ]
+        return buckets, num_blocks, replicated
+
+    @staticmethod
     def _scatter_columnar(
         batch: RecordBatch,
         plan,
@@ -864,59 +859,76 @@ class MultiprocessEvaluator:
         """Route one batch into per-partition columnar buckets.
 
         Returns ``(buckets, num_blocks, replicated_records,
-        materialize_seconds)``.  Each non-empty bucket ships every
-        record it needs exactly once (its blocks overlap under
-        annotated keys) with per-block row indices into that payload --
-        as deflated column buffers when *registry* is ``None``, or
-        written once into a shared-memory segment otherwise (only the
-        :class:`ShmBucket` descriptor then crosses the pipe).
-        ``materialize_seconds`` is the wall time spent building the
-        transport form, excluding the routing shared by both.
+        materialize_seconds)``; empty partitions are ``[]``.  Each
+        bucket ships the block keys its task owns and, per component,
+        the rows those blocks need -- deduplicated, since the blocks
+        overlap under annotated keys -- as indices into one payload
+        holding each of the task's records once: deflated column
+        buffers when *registry* is ``None``, or written once into a
+        shared-memory segment otherwise (only the :class:`ShmBucket`
+        descriptor then crosses the pipe).  ``materialize_seconds`` is
+        the wall time spent building the transport form, excluding the
+        routing shared by both.
         """
-        block_rows: dict[tuple, np.ndarray] = {}
+        keys: list[list] = [[] for _ in range(partitions)]
+        rows_of = [
+            [_NO_ROWS] * len(plan.subplans) for _ in range(partitions)
+        ]
+        num_blocks = replicated = 0
         for index, (_component, subplan) in enumerate(plan.subplans):
             router = subplan.scheme.make_batch_router()
-            for block_key, rows in router(batch, (index,)):
-                block_rows[block_key] = rows
-
-        grouped: list[list] = [[] for _ in range(partitions)]
-        replicated = 0
-        for block_key, rows in block_rows.items():
+            block_keys, rows, counts = router(batch, (index,), flat=True)
+            num_blocks += len(block_keys)
             replicated += len(rows)
-            grouped[stable_hash(block_key) % partitions].append(
-                (block_key, rows)
+            parts = [stable_hash(key) % partitions for key in block_keys]
+            for key, part in zip(block_keys, parts):
+                keys[part].append(key)
+            # Group the replicas by partition, then drop the copies a
+            # partition's overlapping blocks share.
+            replica_parts = np.repeat(
+                np.asarray(parts, dtype=np.int64), counts
             )
+            order = np.argsort(replica_parts, kind="stable")
+            bounds = np.searchsorted(
+                replica_parts[order], np.arange(partitions + 1)
+            ).tolist()
+            sorted_rows = rows[order]
+            for part in range(partitions):
+                if bounds[part] < bounds[part + 1]:
+                    rows_of[part][index] = np.unique(
+                        sorted_rows[bounds[part]:bounds[part + 1]]
+                    )
 
         buckets: list = []
         materialize_seconds = 0.0
-        for bucket_blocks in grouped:
-            if not bucket_blocks:
+        for part_keys, component_rows in zip(keys, rows_of):
+            if not part_keys:
                 buckets.append([])
                 continue
-            all_rows = np.concatenate(
-                [rows for _key, rows in bucket_blocks]
-            )
-            unique_rows = np.unique(all_rows)
-            row_maps = np.searchsorted(unique_rows, all_rows)
+            payload_rows = np.unique(np.concatenate(component_rows))
+            local_rows = [
+                np.searchsorted(payload_rows, rows) for rows in component_rows
+            ]
+            keys_matrix = np.asarray(part_keys, dtype=np.int64)
             started = time.perf_counter()
-            sub_batch = batch.take(unique_rows)
+            sub_batch = batch.take(payload_rows)
             if registry is not None:
                 buckets.append(
                     ShmBucket.build(
-                        registry, sub_batch, bucket_blocks, row_maps
+                        registry, sub_batch, keys_matrix, local_rows
                     )
                 )
             else:
                 buckets.append(
                     _ColumnarBucket.build(
                         sub_batch.to_payload(codec=_WIRE_CODEC),
-                        bucket_blocks,
-                        row_maps,
+                        keys_matrix,
+                        local_rows,
                         codec=_WIRE_CODEC,
                     )
                 )
             materialize_seconds += time.perf_counter() - started
-        return buckets, len(block_rows), replicated, materialize_seconds
+        return buckets, num_blocks, replicated, materialize_seconds
 
     # -- resilient gather loop ---------------------------------------------------
 
@@ -929,13 +941,18 @@ class MultiprocessEvaluator:
         cancel: CancellationToken | None = None,
         release=None,
         trace_ctx: Optional[TraceContext] = None,
+        *,
+        accepted: dict,
+        seen_workers: set,
     ) -> Optional[list[list]]:
         """Run every bucket to completion; ``None`` means degrade.
 
         The loop mirrors a MapReduce master: dispatch, watch, retry
         with backoff, speculate on stragglers, rebuild the pool when a
         worker dies, and give up (gracefully) only when a task's whole
-        budget is spent.
+        budget is spent.  *accepted* collects, per worker, the task
+        counters of the attempts whose results were taken; *seen_workers*
+        the workers whose telemetry flushes arrived.
         """
         if not work:
             return []
@@ -1045,7 +1062,7 @@ class MultiprocessEvaluator:
                     timeout=_POLL_SECONDS,
                     return_when=FIRST_COMPLETED,
                 )
-                self._drain_telemetry(telemetry_queue)
+                self._drain_telemetry(telemetry_queue, seen_workers)
                 broken = False
                 for future in done:
                     task, attempt, submitted, backup = futures.pop(future)
@@ -1054,7 +1071,7 @@ class MultiprocessEvaluator:
                     if state.done:
                         continue  # late loser of a speculative race
                     try:
-                        _task, rows = future.result()
+                        _task, rows, worker = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
@@ -1068,6 +1085,12 @@ class MultiprocessEvaluator:
                     else:
                         state.done = True
                         state.rows = rows
+                        counts = accepted.setdefault(
+                            worker, dict.fromkeys(_TASK_COUNTERS, 0)
+                        )
+                        counts["tasks"] += 1
+                        counts["rows"] += len(rows)
+                        counts["blocks"] += state.bucket.num_blocks
                         unfinished.discard(task)
                         retry_at.pop(task, None)
                         if release is not None:
@@ -1140,14 +1163,14 @@ class MultiprocessEvaluator:
             initargs=init_args,
         )
 
-    def _drain_telemetry(self, telemetry_queue) -> None:
+    def _drain_telemetry(self, telemetry_queue, seen: set) -> None:
         """Merge every queued worker flush into the live registry.
 
         Runs inside the gather poll loop (so in-flight runs are
         inspectable) and once more after the pool drains.  Merge order
         does not matter: flushes are cumulative-with-seq, and
         :meth:`TelemetryRegistry.merge_worker` drops stale or
-        duplicate deliveries.
+        duplicate deliveries.  Merged workers' names land in *seen*.
         """
         if telemetry_queue is None:
             return
@@ -1170,6 +1193,8 @@ class MultiprocessEvaluator:
                 self.telemetry.merge_worker(delta)
             except (KeyError, TypeError, ValueError):
                 logger.warning("dropped malformed telemetry flush")
+            else:
+                seen.add(delta["worker"])
 
     def _record_metrics(self, report: MultiprocessReport) -> None:
         if self.metrics is None:

@@ -45,6 +45,10 @@ class ParallelResult:
     result: ResultSet
     plan: QueryPlan
     job: JobReport
+    #: Local evaluation work summed over reduce tasks.  Each task
+    #: evaluates its records once, so a record counts once per task
+    #: that holds it, however many of that task's blocks it was
+    #: copied into.
     local_stats: LocalStats
     columnar: ColumnarStats | None = None
     #: Cost-model audit: Formula 2/4 predictions joined against this

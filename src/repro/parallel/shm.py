@@ -197,10 +197,10 @@ _CODES = {"i8": np.int64, "f8": np.float64, "u1": np.uint8}
 class ShmBucket:
     """Picklable handle to one gather task's bucket in shared memory.
 
-    Mirrors ``_ColumnarBucket`` structurally -- payload, block-key
-    matrix, per-block counts and row indices -- but every array lives
-    in the named segment at a recorded offset instead of in pickled
-    buffers.  ``matrix`` describes the int plane as one 2-D array;
+    Mirrors ``_ColumnarBucket`` structurally -- payload, owned
+    block-key matrix, per-component payload rows -- but every array
+    lives in the named segment at a recorded offset instead of in
+    pickled buffers.  ``matrix`` describes the int plane as one 2-D array;
     typed payloads (float measures, dictionary strings, nulls) ship
     per-column slots instead.
     """
@@ -216,22 +216,24 @@ class ShmBucket:
     #: per-column validity: ``None`` or the offset of a uint8 array.
     validity: tuple = ()
     keys: tuple = (0, 0, 0)
-    counts: tuple = (0, 0)
-    indices: tuple = (0, 0)
+    #: ``(offset, total)`` of the concatenated per-component rows.
+    rows: tuple = (0, 0)
+    #: how many of those rows belong to each component, in order.
+    row_counts: tuple = ()
 
     @staticmethod
     def build(
         registry: SegmentRegistry,
         batch: RecordBatch,
-        bucket_blocks: list,
-        row_maps: np.ndarray,
+        keys: np.ndarray,
+        component_rows: list,
     ) -> "ShmBucket":
         """Write one bucket's arrays into a fresh segment.
 
-        *batch* holds the bucket's deduplicated records,
-        *bucket_blocks* its ``(block_key, payload row indices)``
-        entries and *row_maps* the concatenated per-block indices into
-        the payload (same shapes ``_ColumnarBucket.build`` takes).
+        *batch* holds the task's deduplicated records, *keys* the
+        owned block keys (one row per block) and *component_rows* each
+        component's indices into the payload (the shapes
+        ``_ColumnarBucket.build`` takes).
         """
         layout = _Layout()
         matrix = batch.matrix
@@ -262,21 +264,15 @@ class ShmBucket:
                     if column.validity is None
                     else layout.add(column.validity.astype(np.uint8))
                 )
-        keys_matrix = np.ascontiguousarray(
-            [key for key, _rows in bucket_blocks], dtype=np.int64
-        )
-        if keys_matrix.ndim == 1:  # pragma: no cover - no blocks
-            keys_matrix = keys_matrix.reshape(0, 0)
+        keys_matrix = np.ascontiguousarray(keys, dtype=np.int64)
         keys_meta = (
             keys_matrix.shape[0], keys_matrix.shape[1],
             layout.add(keys_matrix),
         )
-        counts = np.asarray(
-            [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
+        rows = np.ascontiguousarray(
+            np.concatenate(component_rows), dtype=np.int64
         )
-        counts_meta = (layout.add(counts), len(counts))
-        indices = np.ascontiguousarray(row_maps, dtype=np.int64)
-        indices_meta = (layout.add(indices), len(indices))
+        rows_meta = (layout.add(rows), len(rows))
 
         segment = registry.create(layout.nbytes)
         try:
@@ -294,9 +290,13 @@ class ShmBucket:
             dictionaries=tuple(dictionaries),
             validity=tuple(validity_meta),
             keys=keys_meta,
-            counts=counts_meta,
-            indices=indices_meta,
+            rows=rows_meta,
+            row_counts=tuple(len(part) for part in component_rows),
         )
+
+    @property
+    def num_blocks(self) -> int:
+        return self.keys[0]
 
     def attach(self) -> "ShmBucketView":
         """Map the segment and build zero-copy array views (worker side)."""
@@ -307,7 +307,7 @@ class ShmBucketView:
     """A worker's live view of a :class:`ShmBucket`.
 
     All arrays are views straight into the shared mapping -- nothing is
-    copied until the evaluator fancy-indexes per-block slices.  Close
+    copied until the worker fancy-indexes each component's rows.  Close
     **after** dropping every derived array: a mapping with live views
     cannot be unmapped, and :meth:`close` falls back to leaking the map
     (reclaimed at worker exit) rather than failing the task.
@@ -348,24 +348,16 @@ class ShmBucketView:
             )
         return RecordBatch(schema, tuple(columns), length=bucket.length)
 
-    def blocks(self) -> list:
-        """The ``(block_key, row index array)`` entries (key tuples copy,
-        index arrays stay views)."""
+    def keys(self) -> np.ndarray:
+        """The owned block-key matrix (a view)."""
         rows, cols, offset = self.bucket.keys
-        keys = self._array("i8", offset, rows * cols).reshape(rows, cols)
-        counts_offset, num_blocks = self.bucket.counts
-        counts = self._array("i8", counts_offset, num_blocks)
-        indices_offset, total = self.bucket.indices
-        indices = self._array("i8", indices_offset, total)
-        offsets = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return [
-            (
-                tuple(int(value) for value in keys[i]),
-                indices[offsets[i]:offsets[i + 1]],
-            )
-            for i in range(num_blocks)
-        ]
+        return self._array("i8", offset, rows * cols).reshape(rows, cols)
+
+    def component_rows(self) -> list:
+        """Each component's payload row indices (views)."""
+        offset, total = self.bucket.rows
+        rows = self._array("i8", offset, total)
+        return np.split(rows, np.cumsum(self.bucket.row_counts)[:-1])
 
     def close(self) -> None:
         """Unmap the segment; never raises into the task."""

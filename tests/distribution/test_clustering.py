@@ -1,10 +1,12 @@
 """Tests for block assignment, replication and result filtering."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cube.domains import ALL_VALUE
 from repro.cube.regions import Granularity
-from repro.distribution.clustering import BlockScheme
+from repro.distribution.clustering import BlockScheme, match_rows
 from repro.distribution.keys import DistributionError, DistributionKey
 
 
@@ -112,41 +114,60 @@ class TestMapper:
 
 
 class TestResultFilter:
+    """The home locator: which owned block (if any) keeps each row."""
+
+    @staticmethod
+    def _locate(scheme, granularity, owned, coords):
+        locate = scheme.make_home_locator(granularity)
+        return locate(
+            np.array(owned, dtype=np.int64), np.array(coords, dtype=np.int64)
+        ).tolist()
+
     def test_partitions_results(self, tiny_schema, annotated_key):
         scheme = BlockScheme(annotated_key, {"t": 2})
         granularity = Granularity.of(tiny_schema, {"x": "value", "t": "tick"})
-        filter_for = scheme.make_result_filter(granularity)
-        # Block (x-four=0, t-block=1) owns spans 2..3, i.e. ticks 8..15.
-        keep = filter_for((0, 1))
-        assert keep((3, 8))
-        assert keep((3, 15))
-        assert not keep((3, 7))
-        assert not keep((3, 16))
+        # Block (x-four=0, t-block=1) owns spans 2..3, i.e. ticks 8..15;
+        # it sits second among the task's blocks.
+        owned = [(3, 0), (0, 1)]
+        coords = [(3, 8), (3, 15), (3, 7), (3, 16), (13, 1)]
+        assert self._locate(scheme, granularity, owned, coords) == [
+            1, 1, -1, -1, 0,
+        ]
 
     def test_every_region_owned_exactly_once(self, tiny_schema):
         key = DistributionKey.of(tiny_schema, {"t": ("span", -2, 1)})
         scheme = BlockScheme(key, {"t": 3})
         granularity = Granularity.of(tiny_schema, {"t": "tick"})
-        filter_for = scheme.make_result_filter(granularity)
-        filters = [
-            filter_for((0, block))
-            for block in range(scheme.max_block_index("t") + 1)
-        ]
-        for tick in range(32):
-            owners = sum(1 for keep in filters if keep((0, tick)))
-            assert owners == 1
+        coords = [(ALL_VALUE, tick) for tick in range(32)]
+        owners = np.zeros(32, dtype=int)
+        for block in range(scheme.max_block_index("t") + 1):
+            found = self._locate(
+                scheme, granularity, [(ALL_VALUE, block)], coords
+            )
+            owners += np.array(found) == 0
+        assert owners.tolist() == [1] * 32
 
     def test_rejects_measure_coarser_than_key(self, tiny_schema):
         key = DistributionKey.of(tiny_schema, {"t": ("tick", -1, 0)})
         scheme = BlockScheme(key)
         coarse = Granularity.of(tiny_schema, {"x": "four"})  # t at ALL
         with pytest.raises(DistributionError, match="coarser"):
-            scheme.make_result_filter(coarse)
+            scheme.make_home_locator(coarse)
 
-    def test_no_annotation_keeps_everything(self, tiny_schema):
+    def test_non_annotated_axis_is_checked(self, tiny_schema):
+        # One block shares its non-annotated coordinate, but a reduce
+        # task holds several blocks that differ on it.
         key = DistributionKey.of(tiny_schema, {"x": "four"})
         scheme = BlockScheme(key)
         granularity = Granularity.of(tiny_schema, {"x": "value"})
-        keep = scheme.make_result_filter(granularity)((2,))
-        assert keep((11,))
-        assert keep((0,))
+        owned = [(2, ALL_VALUE)]
+        coords = [(11, ALL_VALUE), (8, ALL_VALUE), (0, ALL_VALUE)]
+        assert self._locate(scheme, granularity, owned, coords) == [0, 0, -1]
+
+    def test_unpackable_keys_match_row_wise(self, monkeypatch):
+        from repro import kernels
+
+        monkeypatch.setattr(kernels, "pack_rows", lambda *args: None)
+        table = np.array([[5, 1], [2, 7], [9, 9]])
+        rows = np.array([[2, 7], [9, 9], [2, 1], [5, 1]])
+        assert match_rows(table, rows).tolist() == [1, 2, -1, 0]

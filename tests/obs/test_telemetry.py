@@ -282,6 +282,29 @@ class TestTelemetryRegistry:
         assert registry.aggregate_worker_counters() == {"tasks": 8}
         assert sorted(registry.worker_totals()) == ["w1", "w2"]
 
+    def test_settle_counts_only_accepted_attempts(self):
+        registry = TelemetryRegistry(clock=FakeClock())
+        # w1 finished tasks 0 and 1, but the pool broke before task 1's
+        # result arrived; task 1 reran on w2.  w3 finished nothing that
+        # was taken.
+        for worker, tasks in (("w1", 2), ("w2", 1), ("w3", 1)):
+            registry.merge_worker({
+                "worker": worker, "seq": 1,
+                "counters": {"tasks": tasks, "rows": 10 * tasks},
+                "resources": {"pid": 1},
+            })
+        assert registry.aggregate_worker_counters()["tasks"] == 4
+        registry.settle_worker_counters({
+            "w1": {"tasks": 1, "rows": 10},
+            "w2": {"tasks": 1, "rows": 10},
+            "w3": {"tasks": 0, "rows": 0},
+            "gone": {"tasks": 5, "rows": 5},  # never flushed: ignored
+        })
+        assert registry.aggregate_worker_counters() == {
+            "tasks": 2, "rows": 20,
+        }
+        assert registry.worker_totals()["w1"]["resources"] == {"pid": 1}
+
     def test_merged_worker_histogram(self):
         registry = TelemetryRegistry(clock=FakeClock())
         left = StreamingHistogram("task_seconds")

@@ -139,6 +139,30 @@ class TestWorkerChannel:
         totals = registry.aggregate_worker_counters()
         assert totals["tasks"] == report.tasks
 
+    def test_speculative_loser_is_not_counted(self, tiny_schema,
+                                              tiny_records):
+        # Every attempt straggles past the speculation threshold, so
+        # each task gets a backup; whichever copies finish and flush,
+        # only the accepted attempt may count toward the worker totals.
+        workflow = build_query("q1", tiny_schema)
+        registry = TelemetryRegistry()
+        evaluator = MultiprocessEvaluator(
+            processes=4,
+            fault_plan=FaultPlan(seed=4, straggler_probability=1.0,
+                                 straggler_sleep=0.4),
+            retry_policy=RetryPolicy(backoff_base=0.02, jitter=0.0,
+                                     straggler_timeout=0.1),
+            telemetry=registry,
+        )
+        result, report = evaluator.evaluate(
+            workflow, tiny_records, num_partitions=2
+        )
+        assert result == evaluate_centralized(workflow, tiny_records)
+        assert report.speculative_launched >= 1
+        totals = registry.aggregate_worker_counters()
+        assert totals["tasks"] == report.tasks
+        assert totals["blocks"] == report.blocks
+
     def test_merge_is_deterministic_under_replay_order(self, tiny_schema,
                                                        tiny_records):
         workflow = build_query("q6", tiny_schema)

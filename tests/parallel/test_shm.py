@@ -60,36 +60,38 @@ def _bucket_fixture(schema, records):
     batch = RecordBatch.from_records(schema, records)
     assert batch is not None
     rows = np.arange(len(batch), dtype=np.int64)
-    blocks = [((0, 0), rows[: len(batch) // 2]), ((0, 1), rows)]
-    row_maps = np.concatenate([rows[: len(batch) // 2], rows])
-    return batch, blocks, row_maps
+    keys = np.array([[0, 0, 0], [0, 0, 1], [1, 2, 0]], dtype=np.int64)
+    component_rows = [rows, rows[: len(batch) // 2]]
+    return batch, keys, component_rows
 
 
 class TestShmBucketRoundTrip:
     def test_int_plane_round_trip(self, tiny_schema, tiny_records):
-        batch, blocks, row_maps = _bucket_fixture(
+        batch, keys, component_rows = _bucket_fixture(
             tiny_schema, tiny_records
         )
         registry = SegmentRegistry()
         try:
-            bucket = ShmBucket.build(registry, batch, blocks, row_maps)
+            bucket = ShmBucket.build(registry, batch, keys, component_rows)
+            assert bucket.num_blocks == len(keys)
             view = bucket.attach()
             # Compare inside a frame so every derived view is dead
             # before close() -- the same discipline the worker follows.
-            self._assert_round_trip(view, tiny_schema, batch, blocks)
+            self._assert_round_trip(
+                view, tiny_schema, batch, keys, component_rows
+            )
             view.close()
         finally:
             registry.unlink_all()
 
     @staticmethod
-    def _assert_round_trip(view, schema, batch, blocks):
+    def _assert_round_trip(view, schema, batch, keys, component_rows):
         rebuilt = view.batch(schema)
         assert np.array_equal(rebuilt.matrix, batch.matrix)
-        attached = view.blocks()
-        assert [key for key, _rows in attached] == [
-            key for key, _rows in blocks
-        ]
-        for (_k, want), (_k2, got) in zip(blocks, attached):
+        assert np.array_equal(view.keys(), keys)
+        attached = view.component_rows()
+        assert len(attached) == len(component_rows)
+        for want, got in zip(component_rows, attached):
             assert np.array_equal(want, got)
 
     def test_typed_columns_round_trip(self, tiny_schema):
@@ -110,7 +112,7 @@ class TestShmBucketRoundTrip:
         registry = SegmentRegistry()
         try:
             bucket = ShmBucket.build(
-                registry, batch, [((0,), rows)], rows
+                registry, batch, np.array([[0, 0]]), [rows]
             )
             view = bucket.attach()
             rebuilt = view.batch(schema)
