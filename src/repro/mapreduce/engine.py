@@ -16,10 +16,32 @@ The scatter/gather contract mirrors Hadoop's:
 * ``reducer(key, values, ctx) -> iterable[output]`` -- sees each group
   once, with pairs of equal key guaranteed to meet in the same task, and
   charges its internal sort/scan work through *ctx*;
-* ``reduce_task(groups, ctx) -> iterable[output]`` -- optional: sees a
-  whole reduce task's ``(key, values)`` groups in one call instead, for
-  reducers whose work spans groups (the composite evaluator reduces a
-  task's overlapping blocks together).
+* ``reduce_task(task_input, ctx) -> iterable[output]`` -- optional: sees
+  a whole reduce task in one call instead, for reducers whose work spans
+  groups (the composite evaluator reduces a task's overlapping blocks
+  together).
+
+A ``map_batch(records)`` hook may replace the mapper for a whole map
+task.  Its :class:`MapBatchOutput` is either combiner output pairs or a
+*block-grouped* map output, :class:`BlockGroups`: block keys, the
+replica count of each block, and one flat array of row indices into the
+task's records -- the pairs ``(keys[b], records[i])`` the mapper would
+have emitted, never built as objects.  The engine then shuffles blocks,
+not pairs: one ``partitioner`` call per block key, and per reducer the
+blocks of every map task merged in key order into a
+:class:`ReduceBlocks`.  Every charge is computed from the counts, with
+each replica a copy of one input record (``record_bytes``):
+
+* map output records and bytes: the replicas, ``KEY_BYTES +
+  record_bytes`` each; map CPU per input record plus replica;
+* shuffle, framework sort, spill and ``reduce_input_records``: a
+  reducer's replica total and bytes, exactly what its pairs would be.
+
+So a job's counters and simulated times are the same whichever form its
+map tasks produce.  A block-grouped job needs a ``reduce_task``, which
+receives the :class:`ReduceBlocks` (pair-form jobs pass it the
+key-sorted ``(key, values)`` groups).  All map tasks of one job must
+produce the same form.
 """
 
 from __future__ import annotations
@@ -28,7 +50,10 @@ import dataclasses
 import logging
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.faults.scheduler import PhaseFaultStats
 from repro.mapreduce.cluster import SimulatedCluster, makespan
@@ -76,32 +101,69 @@ class JobResult:
 
 
 @dataclass
+class BlockGroups:
+    """One map task's output grouped by block key (see module docstring).
+
+    Attributes:
+        keys: Block keys: equal-width tuples of plain ints.
+        counts: Replicas per block, aligned with *keys*.
+        rows: One flat array of indices into *source*, block-major
+            (``counts[0]`` rows of ``keys[0]`` first), ascending within
+            each block.
+        source: What *rows* index: the map task's input records, or
+            any columnar form of them the job's ``reduce_task`` reads.
+    """
+
+    keys: list
+    counts: np.ndarray
+    rows: np.ndarray
+    source: Sequence
+
+
+@dataclass
+class ReduceBlocks:
+    """One reduce task's block-grouped input, merged across map tasks.
+
+    Attributes:
+        keys: The task's distinct block keys in key order, one int64
+            matrix row each.
+        counts: Replicas per block, summed over every map task.
+        inputs: Per map task, in input order, ``(source, slots, counts,
+            rows)``: that task's blocks for this reducer as indices
+            (*slots*) into *keys*, their replica counts, and their flat
+            block-major rows into *source*.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    inputs: list
+
+
+@dataclass
 class MapBatchOutput:
     """What a batched map-side fast path produced for one map task.
 
-    The engine charges the simulated clock from these numbers exactly as
-    it would have for the scalar path, so a batched implementation that
-    reports the scalar-equivalent pair counts yields bit-identical
-    counters, timings and results -- only the wall-clock cost of
-    producing them changes.
+    Either *blocks* (block-grouped map output) or combiner output
+    *pairs*.  The engine charges the simulated clock from these numbers
+    exactly as it would have for the per-record path, so a batched
+    implementation yields bit-identical counters, timings and results --
+    only the wall-clock cost of producing them changes.
 
     Attributes:
-        pairs: The final key/value pairs to partition (post-combine when
-            *combined* is set).
-        emitted_pairs: How many pairs the scalar mapper would have
-            emitted before combining (drives map CPU accounting).
-        combine_inputs: Pairs that entered the combine stage (0 when no
-            combiner ran).
+        blocks: Block-grouped map output; each row is one emitted pair.
+        pairs: Combiner output pairs to partition (when *blocks* is
+            ``None``).
+        emitted_pairs: How many pairs the per-record mapper would have
+            emitted into the combiner (drives map CPU and combine
+            accounting).
         combine_bytes: Serialized size of the combine input, charged as
             the mapper-side sort.
-        combined: Whether the pairs are combiner output.
     """
 
-    pairs: list
-    emitted_pairs: int
-    combine_inputs: int = 0
+    blocks: Optional[BlockGroups] = None
+    pairs: list = dataclasses.field(default_factory=list)
+    emitted_pairs: int = 0
     combine_bytes: int = 0
-    combined: bool = False
 
 
 def stable_hash(key) -> int:
@@ -142,6 +204,61 @@ def default_partitioner(key, num_reducers: int) -> int:
     return stable_hash(key) % num_reducers
 
 
+def partition_blocks(
+    parts: np.ndarray, counts: np.ndarray, rows: np.ndarray, partitions: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group block-grouped map output by partition.
+
+    *parts* holds each block's partition and *counts* its replica count;
+    *rows* are the replicas, block-major.  Returns per partition
+    ``(blocks, rows)``: the indices of its blocks and their rows, both
+    in block order (empty arrays for a partition without blocks).
+    """
+    block_order = np.argsort(parts, kind="stable")
+    block_bounds = np.searchsorted(
+        parts[block_order], np.arange(partitions + 1)
+    ).tolist()
+    replica_parts = np.repeat(parts, counts)
+    replica_order = np.argsort(replica_parts, kind="stable")
+    replica_bounds = np.searchsorted(
+        replica_parts[replica_order], np.arange(partitions + 1)
+    ).tolist()
+    return [
+        (
+            block_order[block_bounds[part]:block_bounds[part + 1]],
+            rows[replica_order[replica_bounds[part]:replica_bounds[part + 1]]],
+        )
+        for part in range(partitions)
+    ]
+
+
+def _merge_blocks(inputs: list) -> ReduceBlocks:
+    """Merge one reducer's ``(source, keys, counts, rows)`` map outputs."""
+    keys = np.concatenate([key_matrix for _s, key_matrix, _c, _r in inputs])
+    counts = np.concatenate([counts for _s, _k, counts, _r in inputs])
+    # A vectorized unique over the key rows: one lexsort, then a
+    # boundary scan (np.unique(axis=0) sorts a structured view, ~3x
+    # slower here).
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ordered), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    merged = np.bincount(inverse, weights=counts, minlength=int(first.sum()))
+    bounds = np.cumsum([len(key_matrix) for _s, key_matrix, _c, _r in inputs])
+    return ReduceBlocks(
+        ordered[first],
+        merged.astype(np.int64),
+        [
+            (source, slots, block_counts, rows)
+            for (source, _keys, block_counts, rows), slots in zip(
+                inputs, np.split(inverse, bounds[:-1])
+            )
+        ],
+    )
+
+
 @dataclass
 class MapReduceJob:
     """A configured job; call :meth:`run` against a cluster and a file.
@@ -157,12 +274,12 @@ class MapReduceJob:
             ``(records) -> MapBatchOutput | None``.  When it returns an
             output, the per-record ``mapper`` (and ``combiner``) are
             bypassed for that task; returning ``None`` falls back to the
-            scalar path, which is the per-task escape hatch for data the
-            batched implementation cannot represent.
+            per-record path.
         reduce_task: Optional task-level reduce:
-            ``(groups, ctx) -> iterable[output]`` over one reducer's
-            key-sorted ``(key, values)`` groups.  When set, it replaces
-            the per-group ``reducer`` calls.
+            ``(task_input, ctx) -> iterable[output]`` over one reducer's
+            :class:`ReduceBlocks` (block-grouped jobs, which need it) or
+            key-sorted ``(key, values)`` groups (pair jobs).  When set,
+            it replaces the per-group ``reducer`` calls.
         record_bytes: Serialized size of one map *input* record.
         value_bytes: Size function for map output values; defaults to
             ``record_bytes`` (values are copies of input records in the
@@ -200,23 +317,29 @@ class MapReduceJob:
         timing: TimingModel,
         counters: JobCounters,
         buckets: list[list],
+        block_buckets: list[list],
     ) -> float:
         value_size = self.value_bytes or (lambda _value: self.record_bytes)
         batch_output = (
             self.map_batch(records) if self.map_batch is not None else None
         )
         counters.map_input_records += len(records)
-        if batch_output is not None:
-            # Batched fast path: the implementation reports the
-            # scalar-equivalent pair counts, so the charges below mirror
-            # the scalar branch exactly.
+        combine_seconds = 0.0
+        if batch_output is not None and batch_output.blocks is not None:
+            emitted_pairs = self._shuffle_blocks(
+                batch_output.blocks, counters, block_buckets
+            )
+            pairs = []
+        elif batch_output is not None:
+            # Batched combiner output: the implementation reports the
+            # per-record-equivalent counts, so the charges below mirror
+            # the per-record branch exactly.
             pairs = batch_output.pairs
             emitted_pairs = batch_output.emitted_pairs
-            combine_seconds = 0.0
-            if batch_output.combined and batch_output.combine_inputs:
-                counters.combine_input_records += batch_output.combine_inputs
+            if emitted_pairs:
+                counters.combine_input_records += emitted_pairs
                 combine_seconds = timing.sort(
-                    batch_output.combine_inputs, batch_output.combine_bytes
+                    emitted_pairs, batch_output.combine_bytes
                 )
                 counters.combine_output_records += len(pairs)
         else:
@@ -225,7 +348,6 @@ class MapReduceJob:
                 pairs.extend(self.mapper(record))
             emitted_pairs = len(pairs)
 
-            combine_seconds = 0.0
             if self.combiner is not None and pairs:
                 counters.combine_input_records += len(pairs)
                 pair_bytes = sum(
@@ -258,24 +380,73 @@ class MapReduceJob:
             + combine_seconds
         )
 
+    def _shuffle_blocks(
+        self,
+        groups: BlockGroups,
+        counters: JobCounters,
+        block_buckets: list[list],
+    ) -> int:
+        """Partition one map task's blocks; returns its replica count."""
+        if self.reduce_task is None:
+            raise ValueError(
+                f"job {self.name!r}: block-grouped map output needs a "
+                "reduce_task"
+            )
+        if not groups.keys:
+            return 0
+        parts = np.fromiter(
+            map(self.partitioner, groups.keys, repeat(self.num_reducers)),
+            dtype=np.int64,
+            count=len(groups.keys),
+        )
+        key_matrix = np.array(groups.keys, dtype=np.int64).reshape(
+            len(groups.keys), -1
+        )
+        shuffled = partition_blocks(
+            parts, groups.counts, groups.rows, self.num_reducers
+        )
+        for index, (blocks, rows) in enumerate(shuffled):
+            if len(blocks):
+                block_buckets[index].append(
+                    (groups.source, key_matrix[blocks], groups.counts[blocks],
+                     rows)
+                )
+        replicas = len(groups.rows)
+        counters.map_output_records += replicas
+        counters.map_output_bytes += replicas * (KEY_BYTES + self.record_bytes)
+        return replicas
+
     # -- reduce side --------------------------------------------------------------
 
     def _run_reduce_task(
         self,
         pairs: list,
+        blocks: list,
         cluster: SimulatedCluster,
         counters: JobCounters,
         outputs: list,
     ) -> tuple[float, float, float, float, int]:
         """Execute one reducer; returns its phase durations and load."""
         timing = cluster.timing
-        value_size = self.value_bytes or (lambda _value: self.record_bytes)
-        in_bytes = sum(KEY_BYTES + value_size(v) for _k, v in pairs)
+        if blocks and pairs:
+            raise ValueError(
+                f"job {self.name!r} mixed block-grouped and pair map output"
+            )
+        if blocks:
+            task_input = _merge_blocks(blocks)
+            load = int(task_input.counts.sum())
+            in_bytes = load * (KEY_BYTES + self.record_bytes)
+        else:
+            value_size = self.value_bytes or (
+                lambda _value: self.record_bytes
+            )
+            load = len(pairs)
+            in_bytes = sum(KEY_BYTES + value_size(v) for _k, v in pairs)
         shuffle_seconds = timing.network_transfer(in_bytes)
 
         sort_stats = spill_stats(
-            len(pairs),
-            record_bytes=max(1, in_bytes // max(1, len(pairs))),
+            load,
+            record_bytes=max(1, in_bytes // max(1, load)),
             memory_bytes=cluster.config.memory_per_task,
         )
         counters.spilled_records += sort_stats.spilled_records
@@ -283,19 +454,21 @@ class MapReduceJob:
         fsort_bytes = in_bytes
         if self.combined_sort:
             fsort_bytes = int(in_bytes * COMBINED_SORT_KEY_OVERHEAD)
-        fsort_seconds = timing.sort(len(pairs), fsort_bytes)
+        fsort_seconds = timing.sort(load, fsort_bytes)
 
         context = TaskContext(timing)
-        groups = sort_group_pairs(pairs)
-        for _key, values in groups:
-            counters.reduce_input_records += len(values)
-        if self.reduce_task is not None:
-            outputs.extend(self.reduce_task(groups, context))
-        else:
-            for key, values in groups:
-                produced = self.reducer(key, values, context)
-                if produced:
-                    outputs.extend(produced)
+        counters.reduce_input_records += load
+        if blocks:
+            outputs.extend(self.reduce_task(task_input, context))
+        elif pairs:
+            groups = sort_group_pairs(pairs)
+            if self.reduce_task is not None:
+                outputs.extend(self.reduce_task(groups, context))
+            else:
+                for key, values in groups:
+                    produced = self.reducer(key, values, context)
+                    if produced:
+                        outputs.extend(produced)
         if self.combined_sort:
             # The local re-sort is subsumed by the composite framework key.
             context.group_sort_seconds = 0.0
@@ -304,7 +477,7 @@ class MapReduceJob:
             fsort_seconds,
             context.group_sort_seconds,
             context.eval_seconds,
-            len(pairs),
+            load,
         )
 
     # -- whole job -----------------------------------------------------------------
@@ -341,6 +514,7 @@ class MapReduceJob:
             else cluster.failed_machines
         )
         buckets: list[list] = [[] for _ in range(self.num_reducers)]
+        block_buckets: list[list] = [[] for _ in range(self.num_reducers)]
 
         with tracer.span("job", job=self.name) as job_span:
             with tracer.span("map") as map_span:
@@ -354,7 +528,8 @@ class MapReduceJob:
                         counters.remote_block_reads += 1
                     map_durations.append(
                         self._run_map_task(
-                            records, remote, timing, counters, buckets
+                            records, remote, timing, counters, buckets,
+                            block_buckets,
                         )
                     )
                     telemetry.phase(
@@ -418,10 +593,11 @@ class MapReduceJob:
                 for index, pairs in enumerate(buckets):
                     counters.reduce_tasks += 1
                     durations = self._run_reduce_task(
-                        pairs, cluster, counters, outputs
+                        pairs, block_buckets[index], cluster, counters,
+                        outputs,
                     )
                     telemetry.phase("reduce", index + 1, len(buckets))
-                    telemetry.mark("reduce.rows", len(pairs))
+                    telemetry.mark("reduce.rows", durations[4])
                     # Under chaos, dispatch-to-a-dead-machine is priced
                     # by real attempt accounting, not the flat 2x.
                     retry = (

@@ -6,7 +6,12 @@ One MapReduce job evaluates the whole composite query:
    measure families need not share a key) and the optimizer picks a
    feasible distribution key and clustering factor per component;
 2. mappers replicate each record into every block whose extended range
-   needs it, once per component (overlapping redistribution);
+   needs it, once per component (overlapping redistribution).  A map
+   task's output stays block-grouped -- block keys, replica counts and
+   one flat row-index array (:class:`~repro.mapreduce.engine.
+   BlockGroups`), routed by the vectorized batch router or, for records
+   no integer batch holds, record by record into the same shape -- and
+   the engine shuffles whole blocks, never one pair per replica;
 3. each reduce task runs the local sort/scan algorithm once per
    component over its blocks' records, each record once however many of
    the task's blocks it was copied into, and keeps the rows whose home
@@ -45,7 +50,13 @@ from repro.local.vectorized import (
 )
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.dfs import DistributedFile
-from repro.mapreduce.engine import KEY_BYTES, MapBatchOutput, MapReduceJob
+from repro.mapreduce.engine import (
+    KEY_BYTES,
+    BlockGroups,
+    MapBatchOutput,
+    MapReduceJob,
+    ReduceBlocks,
+)
 from repro.optimizer.optimizer import (
     Optimizer,
     OptimizerConfig,
@@ -58,7 +69,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.skew import KeyCache
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
-from repro.parallel.reduce import TaskReducer
+from repro.parallel.reduce import TaskReducer, route_records
 from repro.parallel.report import ColumnarStats, ParallelResult
 
 #: Tag marking early-aggregation partial states in the value stream.
@@ -279,22 +290,69 @@ class ParallelEvaluator:
 
         return combiner
 
+    def _make_block_map(self, plan: QueryPlan, stats: ColumnarStats | None):
+        """The engine's ``map_batch`` hook without early aggregation.
+
+        Every task comes back block-grouped (:class:`BlockGroups`): with
+        *stats* (columnar mode) each component's vectorized batch router
+        routes the task's :class:`RecordBatch`, and an integer batch is
+        the rows' source; tasks no routable batch can hold, and every
+        task without *stats*, go record by record through the scheme's
+        mapper into the same shape.
+        """
+        schema = plan.subplans[0][0].schema
+        schemes = [subplan.scheme for _wf, subplan in plan.subplans]
+        routers = (
+            [scheme.make_batch_router() for scheme in schemes]
+            if stats is not None
+            else []
+        )
+        mappers = [scheme.make_mapper() for scheme in schemes]
+
+        def map_batch(records) -> MapBatchOutput:
+            batch = _routable_batch(schema, records, stats)
+            source = records
+            if batch is not None:
+                routed = [
+                    router(batch, (index,), flat=True)
+                    for index, router in enumerate(routers)
+                ]
+                if batch.matrix is not None:
+                    source = batch
+            else:
+                routed = [
+                    route_records(records, blocks_of, (index,))
+                    for index, blocks_of in enumerate(mappers)
+                ]
+            return MapBatchOutput(
+                blocks=BlockGroups(
+                    keys=[key for keys, _rows, _counts in routed for key in keys],
+                    counts=np.concatenate(
+                        [counts for _keys, _rows, counts in routed]
+                    ),
+                    rows=np.concatenate([rows for _keys, rows, _c in routed]),
+                    source=source,
+                )
+            )
+
+        return map_batch
+
     def _make_map_batch(
         self,
         plan: QueryPlan,
         record_bytes: int,
         stats: ColumnarStats,
     ):
-        """Columnar map side: whole tasks routed and combined in batch.
+        """Columnar early aggregation: whole tasks routed and combined.
 
         Returns the engine's ``map_batch`` hook.  Per task it builds one
         :class:`RecordBatch`, routes it through every component's
-        vectorized block router, and -- under early aggregation --
-        produces the partial states with grouped reduceat aggregation,
-        falling back to the scalar combiner for components it cannot
-        compute bit-identically.  Tasks whose records are not
-        integer-columnar return ``None``, which the engine answers with
-        the scalar mapper path.
+        vectorized block router and produces the partial states with
+        grouped reduceat aggregation, falling back to the scalar
+        combiner for components it cannot compute bit-identically.
+        Tasks whose records are not integer-columnar return ``None``,
+        which the engine answers with the per-record mapper and
+        combiner.
         """
         schema = plan.subplans[0][0].schema
         routers = [
@@ -302,29 +360,15 @@ class ParallelEvaluator:
             for _wf, subplan in plan.subplans
         ]
         components = [component for component, _plan in plan.subplans]
-        early = self.config.early_aggregation
-        scalar_combiner = self._make_combiner(plan) if early else None
+        scalar_combiner = self._make_combiner(plan)
 
         def map_batch(records) -> MapBatchOutput | None:
-            batch = RecordBatch.from_records(schema, records)
-            if batch is None or not batch.routable():
-                # No batch at all, or typed dimension columns that the
-                # hierarchy level arrays cannot map: scalar mapper path.
-                stats.fallback_tasks += 1
-                stats.fallback_records += len(records)
+            batch = _routable_batch(schema, records, stats)
+            if batch is None:
                 return None
-            stats.batch_tasks += 1
-            stats.batch_records += len(batch)
             pairs: list = []
             emitted = 0
             for index, router in enumerate(routers):
-                if not early:
-                    for full_key, rows in router(batch, (index,)):
-                        emitted += len(rows)
-                        pairs.extend(
-                            [(full_key, records[i]) for i in rows.tolist()]
-                        )
-                    continue
                 raw_keys, raw_rows, varying = router(
                     batch, (index,), raw=True
                 )
@@ -370,15 +414,11 @@ class ParallelEvaluator:
                                 ),
                             )
                         )
-            if early:
-                return MapBatchOutput(
-                    pairs=pairs,
-                    emitted_pairs=emitted,
-                    combine_inputs=emitted,
-                    combine_bytes=emitted * (KEY_BYTES + record_bytes),
-                    combined=True,
-                )
-            return MapBatchOutput(pairs=pairs, emitted_pairs=emitted)
+            return MapBatchOutput(
+                pairs=pairs,
+                emitted_pairs=emitted,
+                combine_bytes=emitted * (KEY_BYTES + record_bytes),
+            )
 
         return map_batch
 
@@ -411,14 +451,15 @@ class ParallelEvaluator:
         plan: QueryPlan,
         record_bytes: int,
         local_stats: LocalStats,
-        served_blocks: set,
+        served_blocks: list,
     ):
         """The engine's ``reduce_task`` hook: one evaluation per
         component per reduce task (see :mod:`repro.parallel.reduce`).
 
-        The simulated clock is still charged per block: the group sort
-        on the block's values, evaluation on its values plus the rows
-        it owns.
+        The simulated clock is still charged per block, in key order:
+        the group sort on the block's values, evaluation on its values
+        plus the rows it owns.  *served_blocks* (one counter) totals the
+        blocks the tasks held.
         """
         reducer = TaskReducer(
             [
@@ -431,13 +472,37 @@ class ParallelEvaluator:
             list(component.basic_measures())
             for component, _plan in plan.subplans
         ]
-        early = self.config.early_aggregation
-        value_bytes = _PARTIAL_STATE_BYTES if early else record_bytes
+        schema = plan.subplans[0][0].schema
 
-        def reduce_task(groups, ctx):
+        def charge(ctx, counts, owned_rows, value_bytes) -> None:
+            for count, owns in zip(counts, owned_rows.tolist()):
+                ctx.charge_sort(count, count * value_bytes)
+                ctx.charge_eval(count + owns)
+
+        def reduce_blocks(task: ReduceBlocks, ctx):
+            served_blocks[0] += len(task.keys)
+            components = task.keys[:, 0]
+            inputs = [
+                (source, np.repeat(components[slots], counts), rows)
+                for source, slots, counts, rows in task.inputs
+            ]
+            outputs: list = []
+            for index in np.unique(components).tolist():
+                mine = components == index
+                rows_out, owned_rows = reducer.reduce(
+                    index, task.keys[mine, 1:],
+                    records=_component_input(schema, inputs, index),
+                    stats=local_stats,
+                )
+                charge(ctx, task.counts[mine].tolist(), owned_rows,
+                       record_bytes)
+                outputs.extend(rows_out)
+            return outputs
+
+        def reduce_partials(groups, ctx):
+            served_blocks[0] += len(groups)
             by_component: dict[int, list] = defaultdict(list)
             for block_key, values in groups:
-                served_blocks.add(block_key)
                 by_component[block_key[0]].append((block_key, values))
             outputs: list = []
             for index, blocks in by_component.items():
@@ -445,29 +510,23 @@ class ParallelEvaluator:
                     [block_key[1:] for block_key, _values in blocks],
                     dtype=np.int64,
                 )
-                if early:
-                    # Every block holding a region receives all of its
-                    # partial states, so one block's copies suffice.
-                    tables = _merge_partials(
-                        basics_by_component[index],
-                        _first_copies(blocks, _state_slot),
-                    )
-                    rows, owned_rows = reducer.reduce(
-                        index, owned, basic_tables=tables, stats=local_stats
-                    )
-                else:
-                    # A record copied into several blocks is one object.
-                    rows, owned_rows = reducer.reduce(
-                        index, owned, records=_first_copies(blocks, id),
-                        stats=local_stats,
-                    )
-                for (_key, values), owns in zip(blocks, owned_rows.tolist()):
-                    ctx.charge_sort(len(values), len(values) * value_bytes)
-                    ctx.charge_eval(len(values) + owns)
+                # Every block holding a region receives all of its
+                # partial states, so one block's copies suffice.
+                tables = _merge_partials(
+                    basics_by_component[index],
+                    _first_block_partials(blocks),
+                )
+                rows, owned_rows = reducer.reduce(
+                    index, owned, basic_tables=tables, stats=local_stats
+                )
+                charge(ctx, [len(values) for _key, values in blocks],
+                       owned_rows, _PARTIAL_STATE_BYTES)
                 outputs.extend(rows)
             return outputs
 
-        return reduce_task
+        if self.config.early_aggregation:
+            return reduce_partials
+        return reduce_blocks
 
     # -- whole query ----------------------------------------------------------------------
 
@@ -540,7 +599,8 @@ class ParallelEvaluator:
 
             record_bytes = estimated_record_bytes(workflow.schema)
             local_stats = LocalStats()
-            served_blocks: set = set()
+            served_blocks = [0]
+            early = self.config.early_aggregation
             use_columnar = self.config.columnar
             if use_columnar is None:
                 use_columnar = vectorized_supports(workflow)
@@ -553,13 +613,14 @@ class ParallelEvaluator:
             reduce_task = self._make_reduce_task(
                 query_plan, record_bytes, local_stats, served_blocks
             )
-            map_batch = (
-                self._make_map_batch(
+            if not early:
+                map_batch = self._make_block_map(query_plan, columnar_stats)
+            elif use_columnar:
+                map_batch = self._make_map_batch(
                     query_plan, record_bytes, columnar_stats
                 )
-                if use_columnar
-                else None
-            )
+            else:
+                map_batch = None
             if cancel is not None:
                 cancel.check()
                 mapper = _cancellable(mapper, cancel)
@@ -571,11 +632,7 @@ class ParallelEvaluator:
                 reducer=None,
                 reduce_task=reduce_task,
                 num_reducers=query_plan.num_reducers,
-                combiner=(
-                    self._make_combiner(query_plan)
-                    if self.config.early_aggregation
-                    else None
-                ),
+                combiner=self._make_combiner(query_plan) if early else None,
                 partitioner=self._make_partitioner(query_plan),
                 map_batch=map_batch,
                 record_bytes=record_bytes,
@@ -603,8 +660,8 @@ class ParallelEvaluator:
                 job_result.report,
                 record_bytes=record_bytes,
                 key_bytes=KEY_BYTES,
-                early_aggregation=self.config.early_aggregation,
-                actual_blocks=len(served_blocks),
+                early_aggregation=early,
+                actual_blocks=served_blocks[0],
             )
             root.set_sim(0.0, job_result.report.response_time)
             root.set(rows=result.total_rows())
@@ -682,25 +739,66 @@ def _cancellable(fn, cancel: CancellationToken):
     return guarded
 
 
-def _first_copies(blocks, identity) -> list:
-    """One reduce task's values with cross-block copies dropped.
+def _routable_batch(schema, records, stats: ColumnarStats | None):
+    """The task's records as a routable :class:`RecordBatch`, or ``None``.
 
-    A value whose *identity* already appeared in an earlier block of
-    *blocks* (``(block key, values)`` groups) is a copy of it; repeats
-    within one block are distinct inputs and all stay.
+    ``None`` without *stats* (columnar mode off), and for records no
+    batch can hold or whose typed dimension columns the hierarchy level
+    arrays cannot map; *stats* counts each task either way.
+    """
+    if stats is None:
+        return None
+    batch = RecordBatch.from_records(schema, records)
+    if batch is None or not batch.routable():
+        stats.fallback_tasks += 1
+        stats.fallback_records += len(records)
+        return None
+    stats.batch_tasks += 1
+    stats.batch_records += len(batch)
+    return batch
+
+
+def _component_input(schema, inputs: list, index: int):
+    """What component *index* of a reduce task evaluates.
+
+    *inputs* holds per map task ``(source, replica components, rows)``.
+    Each record comes once, however many of the task's blocks it was
+    copied into, in input order: one integer batch when every source is
+    one, else a record list.
+    """
+    parts = [
+        (source, np.unique(rows[replicas == index]))
+        for source, replicas, rows in inputs
+    ]
+    if all(isinstance(source, RecordBatch) for source, _rows in parts):
+        return RecordBatch(
+            schema,
+            np.concatenate([source.matrix[rows] for source, rows in parts]),
+        )
+    records: list = []
+    for source, rows in parts:
+        if isinstance(source, RecordBatch):
+            records.extend(source.take(rows).to_records())
+        else:
+            records.extend(map(source.__getitem__, rows.tolist()))
+    return records
+
+
+def _first_block_partials(blocks) -> list:
+    """One reduce task's partial states with cross-block copies dropped.
+
+    A state whose (basic measure, region) slot already appeared in an
+    earlier block of *blocks* (``(block key, values)`` groups) is a copy
+    of it; repeats within one block come from different map tasks and
+    all stay.
     """
     seen: set = set()
     kept: list = []
     for _key, values in blocks:
-        fresh = [value for value in values if identity(value) not in seen]
-        seen.update(map(identity, fresh))
+        fresh = [value for value in values if value[1:3] not in seen]
+        seen.update(value[1:3] for value in fresh)
         kept.extend(fresh)
     return kept
-
-
-def _state_slot(value) -> tuple:
-    """A partial state's (basic measure, region) slot."""
-    return value[1], value[2]
 
 
 def _merge_partials(basics, values) -> dict[str, MeasureTable]:

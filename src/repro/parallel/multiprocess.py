@@ -49,7 +49,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
-from collections import defaultdict, deque
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -57,6 +57,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ from repro.io.serialize import workflow_from_dict, workflow_to_dict
 from repro.local.measure_table import ResultSet
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
-from repro.mapreduce.engine import stable_hash
+from repro.mapreduce.engine import default_partitioner, partition_blocks
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
 from repro.obs.tracectx import (
     SpanCollector,
@@ -91,7 +92,7 @@ from repro.query.functions import Expression
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
 from repro.parallel.executor import union_outputs
-from repro.parallel.reduce import TaskReducer
+from repro.parallel.reduce import TaskReducer, route_records
 from repro.parallel.shm import (
     SegmentRegistry,
     ShmBucket,
@@ -384,6 +385,35 @@ def _run_task(
             counters["blocks"] += bucket.num_blocks
         _flush_worker_telemetry()
     return task, rows, _worker_name()
+
+
+def _partition_routes(routes: list, partitions: int) -> tuple:
+    """Group each component's routed blocks by partition.
+
+    *routes* holds per component the ``(keys, rows, counts)`` a block
+    router returns.  Blocks go to ``stable_hash(key) % partitions``.
+    Returns ``(keys, rows_of, num_blocks, replicated)``: per partition
+    its block keys, and per partition and component the rows its blocks
+    need -- each once, ascending, since the blocks overlap under
+    annotated keys.
+    """
+    keys: list[list] = [[] for _ in range(partitions)]
+    rows_of = [[_NO_ROWS] * len(routes) for _ in range(partitions)]
+    num_blocks = replicated = 0
+    for index, (block_keys, rows, counts) in enumerate(routes):
+        num_blocks += len(block_keys)
+        replicated += len(rows)
+        parts = np.fromiter(
+            map(default_partitioner, block_keys, repeat(partitions)),
+            dtype=np.int64,
+            count=len(block_keys),
+        )
+        grouped = partition_blocks(parts, counts, rows, partitions)
+        for part, (blocks, part_rows) in enumerate(grouped):
+            keys[part].extend(map(block_keys.__getitem__, blocks.tolist()))
+            if len(part_rows):
+                rows_of[part][index] = np.unique(part_rows)
+    return keys, rows_of, num_blocks, replicated
 
 
 @dataclass
@@ -818,34 +848,24 @@ class MultiprocessEvaluator:
         partitions are ``[]``.  Each bucket ships, per component, the
         records its blocks need once each, in input order.
         """
-        keys: list[list] = [[] for _ in range(partitions)]
-        members = [
-            [set() for _ in plan.subplans] for _ in range(partitions)
-        ]
-        num_blocks = replicated = 0
-        for index, (_component, subplan) in enumerate(plan.subplans):
-            mapper = subplan.scheme.make_mapper()
-            blocks: dict[tuple, list] = defaultdict(list)
-            for position, record in enumerate(records):
-                for block_key in mapper(record):
-                    blocks[(index,) + block_key].append(position)
-            for block_key, positions in blocks.items():
-                part = stable_hash(block_key) % partitions
-                keys[part].append(block_key)
-                members[part][index].update(positions)
-                replicated += len(positions)
-            num_blocks += len(blocks)
+        keys, rows_of, num_blocks, replicated = _partition_routes(
+            [
+                route_records(records, subplan.scheme.make_mapper(), (index,))
+                for index, (_component, subplan) in enumerate(plan.subplans)
+            ],
+            partitions,
+        )
         buckets = [
             _RecordBucket(
                 tuple(part_keys),
                 tuple(
-                    [records[i] for i in sorted(positions)]
-                    for positions in part_members
+                    [records[i] for i in rows.tolist()]
+                    for rows in component_rows
                 ),
             )
             if part_keys
             else []
-            for part_keys, part_members in zip(keys, members)
+            for part_keys, component_rows in zip(keys, rows_of)
         ]
         return buckets, num_blocks, replicated
 
@@ -870,34 +890,13 @@ class MultiprocessEvaluator:
         the wall time spent building the transport form, excluding the
         routing shared by both.
         """
-        keys: list[list] = [[] for _ in range(partitions)]
-        rows_of = [
-            [_NO_ROWS] * len(plan.subplans) for _ in range(partitions)
-        ]
-        num_blocks = replicated = 0
-        for index, (_component, subplan) in enumerate(plan.subplans):
-            router = subplan.scheme.make_batch_router()
-            block_keys, rows, counts = router(batch, (index,), flat=True)
-            num_blocks += len(block_keys)
-            replicated += len(rows)
-            parts = [stable_hash(key) % partitions for key in block_keys]
-            for key, part in zip(block_keys, parts):
-                keys[part].append(key)
-            # Group the replicas by partition, then drop the copies a
-            # partition's overlapping blocks share.
-            replica_parts = np.repeat(
-                np.asarray(parts, dtype=np.int64), counts
-            )
-            order = np.argsort(replica_parts, kind="stable")
-            bounds = np.searchsorted(
-                replica_parts[order], np.arange(partitions + 1)
-            ).tolist()
-            sorted_rows = rows[order]
-            for part in range(partitions):
-                if bounds[part] < bounds[part + 1]:
-                    rows_of[part][index] = np.unique(
-                        sorted_rows[bounds[part]:bounds[part + 1]]
-                    )
+        keys, rows_of, num_blocks, replicated = _partition_routes(
+            [
+                subplan.scheme.make_batch_router()(batch, (index,), flat=True)
+                for index, (_component, subplan) in enumerate(plan.subplans)
+            ],
+            partitions,
+        )
 
         buckets: list = []
         materialize_seconds = 0.0

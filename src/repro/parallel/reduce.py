@@ -18,13 +18,18 @@ aggregate is split or counted twice.
 
 The in-process executor calls :meth:`TaskReducer.reduce` from the
 engine's ``reduce_task`` hook; multiprocess workers call it directly on
-the deduplicated rows their bucket ships.
+the deduplicated rows their bucket ships.  Both executors route records
+into one shape -- block keys, replica counts per block, one flat
+block-major row-index array -- with the batch router
+(``make_batch_router(...)(batch, flat=True)``) or, for records no batch
+can hold, with :func:`route_records`.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from typing import Sequence
+from collections import defaultdict
+from itertools import chain, compress, repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,3 +103,26 @@ class TaskReducer:
                 )
             )
         return rows, owned_rows
+
+
+def route_records(
+    records: Sequence, blocks_of: Callable, prefix: tuple = ()
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Route records one by one into the batch router's flat shape.
+
+    *blocks_of* is a :meth:`~repro.distribution.clustering.BlockScheme.
+    make_mapper` router.  Returns ``(keys, rows, counts)``: the block
+    keys (each prefixed with *prefix*) in first-seen order, the record
+    positions of every block, block-major and ascending within a block,
+    and the number of positions per block.
+    """
+    blocks: dict[tuple, list] = defaultdict(list)
+    for position, record in enumerate(records):
+        for block_key in blocks_of(record):
+            blocks[prefix + block_key].append(position)
+    members = list(blocks.values())
+    counts = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    rows = np.fromiter(
+        chain.from_iterable(members), dtype=np.int64, count=int(counts.sum())
+    )
+    return list(blocks), rows, counts

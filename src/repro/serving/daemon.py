@@ -46,6 +46,7 @@ its inputs or fold order, and the fallback *is* the oracle.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import logging
 import signal
 import time
@@ -571,6 +572,8 @@ class QueryService:
         #: submissions wait on it so their cache keys never straddle a
         #: fingerprint change.
         self._append_gate: Optional[asyncio.Event] = None
+        #: Set once a drain starts; paced replays wake on it.
+        self._drain_started: Optional[asyncio.Event] = None
         self._generation = 0
         self._latencies_ms: list[float] = []
         self._report = ServeReport()
@@ -593,6 +596,7 @@ class QueryService:
         self._idle.set()
         self._append_gate = asyncio.Event()
         self._append_gate.set()
+        self._drain_started = asyncio.Event()
         for index in range(self.limits.max_inflight):
             self._workers.append(
                 _Worker(
@@ -1489,6 +1493,7 @@ class QueryService:
             return self.report()
         self._draining = True
         await self.start()
+        self._drain_started.set()
         self._dispatch_due(flush=True)
         while len(self.queue) or self._inflight:
             self._work_available.set()
@@ -1544,9 +1549,10 @@ def serve_arrivals(
     back in arrival order.  The synchronous wrapper owns the event
     loop, which is what tests and ``tools/serve_smoke.py`` want.
     *install_signals* hooks SIGTERM/SIGINT to a graceful drain (the
-    ``repro serve`` entry point) -- a signal mid-replay sheds the rest
-    of the trace with ``reason="draining"`` while in-flight groups
-    finish.
+    ``repro serve`` entry point) -- a signal mid-replay stops the
+    pacing and sheds the rest of the trace at once with
+    ``reason="draining"``, so the replay returns as soon as in-flight
+    groups finish.
     """
 
     async def _run() -> tuple[list[QueryResponse], ServeReport]:
@@ -1556,11 +1562,15 @@ def serve_arrivals(
         started = service.clock()
         tasks: list[asyncio.Task] = []
         for arrival in arrivals:
-            if speed > 0:
+            if speed > 0 and not service._draining:
                 offset = arrival.at / speed
                 delay = offset - (service.clock() - started)
                 if delay > 0:
-                    await asyncio.sleep(delay)
+                    # Pacing ends the moment a drain starts.
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(
+                            service._drain_started.wait(), delay
+                        )
             workflow = service.catalog.get(arrival.query)
             if workflow is None:
                 raise KeyError(

@@ -1,11 +1,20 @@
 """Tests for the MapReduce job engine."""
 
+from collections import defaultdict
+
+import numpy as np
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.mapreduce.cluster import SimulatedCluster
+from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.engine import (
+    BlockGroups,
+    MapBatchOutput,
     MapReduceJob,
+    ReduceBlocks,
     default_partitioner,
+    partition_blocks,
     stable_hash,
 )
 from repro.mapreduce.timing import ClusterConfig
@@ -190,3 +199,137 @@ class TestHashing:
     def test_partitioner_in_range(self):
         for key in [(0,), (1, 2), ("x", "y"), (999, 999, 999)]:
             assert 0 <= default_partitioner(key, 5) < 5
+
+
+def blocks_of(record):
+    """Each record's block, plus the next one for every fourth key."""
+    key = record[0]
+    keys = [(key // 4, 0)]
+    if key % 4 == 3:
+        keys.append((key // 4 + 1, 1))
+    return keys
+
+
+def pair_mapper(record):
+    return [(key, record) for key in blocks_of(record)]
+
+
+def block_map(records):
+    """The same map output as :func:`pair_mapper`, block-grouped."""
+    members = defaultdict(list)
+    for position, record in enumerate(records):
+        for key in blocks_of(record):
+            members[key].append(position)
+    return MapBatchOutput(
+        blocks=BlockGroups(
+            keys=list(members),
+            counts=np.array([len(rows) for rows in members.values()]),
+            rows=np.array([row for rows in members.values() for row in rows]),
+            source=records,
+        )
+    )
+
+
+def ordered_reducer(key, values, ctx):
+    ctx.charge_sort(len(values), len(values) * 40)
+    ctx.charge_eval(len(values) + 1)
+    yield (key, tuple(values))
+
+
+def task_groups(task_input):
+    """A reduce task's ``(key, values)`` groups from either input form."""
+    if not isinstance(task_input, ReduceBlocks):
+        return task_input
+    values = [[] for _ in task_input.keys]
+    for source, slots, counts, rows in task_input.inputs:
+        stops = np.cumsum(counts).tolist()
+        for slot, start, stop in zip(slots.tolist(), [0] + stops[:-1], stops):
+            values[slot].extend(source[i] for i in rows[start:stop].tolist())
+    return list(zip(map(tuple, task_input.keys.tolist()), values))
+
+
+def ordered_reduce_task(task_input, ctx):
+    for key, values in task_groups(task_input):
+        yield from ordered_reducer(key, values, ctx)
+
+
+class TestBlockGroupedMapOutput:
+    """Block-grouped and per-record map output are one contract."""
+
+    @pytest.fixture
+    def records_file(self):
+        def make(chaos):
+            machines = 5
+            cluster = SimulatedCluster(
+                ClusterConfig(machines=machines),
+                dfs=InMemoryDFS(machines, block_records=70),
+            )
+            if chaos is not None:
+                cluster.install_faults(FaultPlan.random(chaos, machines))
+            records = [(i * 7 % 61, i) for i in range(400)]
+            return cluster, cluster.dfs.write("nums", records)
+
+        return make
+
+    @pytest.mark.parametrize("combined_sort", [False, True])
+    @pytest.mark.parametrize("chaos", [None, 3])
+    def test_same_outputs_counters_and_clock(self, records_file,
+                                             combined_sort, chaos):
+        reports = []
+        outputs = []
+        for map_batch in (None, block_map):
+            cluster, handle = records_file(chaos)
+            assert len(handle.blocks) > 1
+            job = MapReduceJob(
+                pair_mapper, None, num_reducers=4, map_batch=map_batch,
+                reduce_task=ordered_reduce_task, combined_sort=combined_sort,
+            )
+            result = job.run(handle, cluster)
+            outputs.append(result.outputs)
+            reports.append(result.report)
+        pairs, blocks = reports
+        # Same groups, same values in the same order, same reducers.
+        assert outputs[0] == outputs[1]
+        assert blocks.counters == pairs.counters
+        assert blocks.response_time == pairs.response_time
+        assert blocks.breakdown == pairs.breakdown
+        assert blocks.reducer_loads == pairs.reducer_loads
+        # Some records are copied into two blocks.
+        assert pairs.counters.map_output_records > 400
+        if chaos is not None:
+            assert blocks.faults == pairs.faults
+
+    def test_block_output_needs_a_reduce_task(self, records_file):
+        cluster, handle = records_file(None)
+        job = MapReduceJob(
+            pair_mapper, ordered_reducer, num_reducers=2,
+            map_batch=block_map,
+        )
+        with pytest.raises(ValueError, match="needs a reduce_task"):
+            job.run(handle, cluster)
+
+    def test_mixed_forms_in_one_job_are_rejected(self, records_file):
+        cluster, handle = records_file(None)
+        first = handle.blocks[0].records
+
+        def some_blocks(records):
+            return block_map(records) if records is first else None
+
+        job = MapReduceJob(
+            pair_mapper, None, num_reducers=1, map_batch=some_blocks,
+            reduce_task=ordered_reduce_task,
+        )
+        with pytest.raises(ValueError, match="mixed"):
+            job.run(handle, cluster)
+
+    def test_partition_blocks_keeps_block_order(self):
+        parts = np.array([2, 0, 2, 1])
+        counts = np.array([2, 1, 3, 0])
+        rows = np.array([10, 11, 20, 30, 31, 32])
+        grouped = partition_blocks(parts, counts, rows, 4)
+        assert [blocks.tolist() for blocks, _rows in grouped] == [
+            [1], [3], [0, 2], [],
+        ]
+        assert [rows.tolist() for _blocks, rows in grouped] == [
+            [20], [], [10, 11, 30, 31, 32], [],
+        ]

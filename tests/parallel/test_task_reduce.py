@@ -21,6 +21,7 @@ from repro.distribution.derive import minimal_feasible_key
 from repro.distribution.keys import DistributionKey
 from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce.cluster import SimulatedCluster
+from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.timing import ClusterConfig
 from repro.optimizer.optimizer import Plan, QueryPlan
 from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
@@ -69,10 +70,16 @@ def manual_plan(workflow, cf: int, num_reducers: int = 4) -> QueryPlan:
 
 
 def run_inproc(workflow, records, plan=None, num_reducers=None,
-               early=False):
+               early=False, columnar=None, block_records=4096):
     evaluator = ParallelEvaluator(
-        SimulatedCluster(ClusterConfig(machines=4)),
-        ExecutionConfig(num_reducers=num_reducers, early_aggregation=early),
+        SimulatedCluster(
+            ClusterConfig(machines=4),
+            dfs=InMemoryDFS(4, block_records=block_records),
+        ),
+        ExecutionConfig(
+            num_reducers=num_reducers, early_aggregation=early,
+            columnar=columnar,
+        ),
     )
     return evaluator.evaluate(workflow, records, plan=plan)
 
@@ -248,11 +255,51 @@ class TestExplicitCases:
         plan = manual_plan(window, 1, num_reducers=1)
         expected = evaluate_centralized(window, records)
         assert expected["base"][(5, 4)] == 9
-        assert_bit_identical(
-            run_inproc(window, records, plan).result, expected
-        )
+        # One map task, then one per record: each copy from its own task.
+        for block_records in (4096, 1):
+            outcome = run_inproc(window, records, plan,
+                                 block_records=block_records)
+            assert_bit_identical(outcome.result, expected)
+            assert outcome.local_stats.records == len(records)
         result, _report = run_mp(window, records, plan, num_partitions=1)
         assert_bit_identical(result, expected)
+
+    def test_one_task_routed_per_record_among_columnar_tasks(
+        self, tiny_schema, tiny_records, window
+    ):
+        """A fact outside int64 makes one map task's batch impossible:
+        that task routes record by record, the others columnar, and the
+        reduce tasks merge both into the oracle's answer."""
+        records = list(tiny_records)
+        records[130] = records[130][:2] + (2**70,)
+        workflow = WorkflowBuilder(tiny_schema)
+        workflow.basic("total", over={"x": "four", "t": "span"},
+                       field="v", aggregate="sum")
+        workflow.basic("top", over={"x": "value", "t": "tick"},
+                       field="v", aggregate="max")
+        (
+            workflow.composite("trail", over={"x": "value", "t": "tick"})
+            .window("top", attribute="t", low=-2, high=0, aggregate="sum")
+        )
+        workflow = workflow.build()
+        plan = manual_plan(workflow, 2, num_reducers=3)
+        expected = evaluate_centralized(workflow, records)
+        assert max(expected["total"].values.values()) > 2**63
+        runs = {
+            columnar: run_inproc(workflow, records, plan, columnar=columnar,
+                                 block_records=50)
+            for columnar in (True, False)
+        }
+        stats = runs[True].columnar
+        assert stats.fallback_tasks == 1
+        assert stats.batch_tasks == len(records) // 50 - 1
+        assert runs[False].columnar is None
+        for outcome in runs.values():
+            assert_bit_identical(outcome.result, expected)
+            assert outcome.local_stats.records >= len(records)
+        assert runs[True].job.counters == runs[False].job.counters
+        assert runs[True].job.response_time == runs[False].job.response_time
+        assert runs[True].job.breakdown == runs[False].job.breakdown
 
     def test_grand_total_on_an_all_key(self, tiny_schema, tiny_records):
         # Every key axis is ALL: one block, matched with no key columns.

@@ -356,6 +356,48 @@ class TestManifest:
 
 
 class TestGracefulDrain:
+    def test_drain_mid_replay_stops_pacing(
+        self, batch_queries, batch_records, solo_results, monkeypatch
+    ):
+        """A drain 0.2 s into a 30 s paced trace sheds the rest at once
+        instead of waiting out each remaining arrival's offset."""
+        names = sorted(batch_queries) * 20
+        arrivals = _burst(names, gap=30.0 / len(names))
+        service = _service(batch_queries, batch_records)
+        start = service.start
+        scheduled = []
+
+        async def start_and_schedule_drain():
+            await start()
+            if not scheduled:
+                scheduled.append(
+                    asyncio.get_running_loop().call_later(
+                        0.2, lambda: asyncio.ensure_future(service.drain())
+                    )
+                )
+
+        monkeypatch.setattr(service, "start", start_and_schedule_drain)
+        started = time.perf_counter()
+        responses, report = serve_arrivals(service, arrivals, speed=1)
+        elapsed = time.perf_counter() - started
+
+        assert elapsed < 10.0
+        assert report.drained
+        assert len(responses) == report.arrivals == len(arrivals)
+        served = [r for r in responses if r.status != "overloaded"]
+        shed = [r for r in responses if r.status == "overloaded"]
+        # Only the arrivals before the drain were served; every later
+        # one is a draining shed.
+        assert 0 < len(served) <= 3
+        assert responses[:len(served)] == served
+        assert all(r.overload.reason == "draining" for r in shed)
+        assert report.shed == {"draining": len(shed)}
+        for response in served:
+            assert response.ok
+            assert _rows(response.result) == _rows(
+                solo_results[response.name]
+            )
+
     def test_sigterm_mid_replay_drains_and_writes_manifest(
         self, tmp_path
     ):
